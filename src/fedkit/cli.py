@@ -29,6 +29,7 @@ from .errors import (
     ReportError,
     StartupError,
 )
+from .params import to_json
 from .server import FederationServer, resume_from_checkpoint, config_hash
 from .simulator import SimScenario, SimulationReport, simulate, speedup
 
@@ -188,18 +189,9 @@ def _write_simulation_files(report: SimulationReport, scenario_dir: str, stem: s
             virtual_seconds=report.virtual_seconds,
         )
         if report.local_cross is not None:
-            doc["local_cross"] = {
-                trained: {
-                    site: {"mean": s.mean, "std": s.std, "metric": s.metric}
-                    for site, s in row.items()
-                }
-                for trained, row in report.local_cross.items()
-            }
+            doc["local_cross"] = to_json(report.local_cross)
         if report.personal_models is not None:
-            doc["personal_models"] = {
-                site: (p.tolist() if p is not None else None)
-                for site, p in report.personal_models.items()
-            }
+            doc["personal_models"] = to_json(report.personal_models)
         _write_report_files(doc, report.experiment, scenario_dir)
         summary = metrics.render_summary(report.experiment, title=stem)
     else:

@@ -31,7 +31,6 @@ from .training import (
     ditto_personal_round,
     generate_site_data,
     local_train,
-    work_estimate,
 )
 
 logger = logging.getLogger(__name__)
@@ -180,14 +179,8 @@ class ClientSession:
             )
         return self._data
 
-    def simulated_base_cost(self) -> float:
-        return work_estimate(self.data, self.trainer)
-
     def on_connected(self) -> list:
         return [SendMsg(Message("join_request", 0, self.cfg.site_name))]
-
-    def on_disconnected(self) -> list:
-        return []
 
     def on_message(self, msg: Message) -> list:
         if msg.kind == "join_ack":
@@ -268,7 +261,6 @@ class ClientRuntime:
             code = self._serve(sock)
             if code is not None:
                 return code
-            self.session.on_disconnected()
             logger.info("%s lost the server; reconnecting", self.cfg.site_name)
 
     def _connect_forever(self) -> socket.socket:

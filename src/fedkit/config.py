@@ -1,48 +1,36 @@
 """One JSON config format shared by server, client, and simulator.
 
-A config file is a single document with the federation keys at the top
-level and an optional ``simulator`` block carrying the timing model and
-fault schedule. Unknown keys are rejected, every module invariant is
-re-checked at load time, and errors name the offending key with a line
-anchor into the file wherever one can be found.
+A config file is a single document: the fields of
+:class:`~fedkit.server.FederationConfig` at the top level, plus an optional
+``simulator`` block with the fields of :class:`~fedkit.simulator.SimScenario`
+(timing model and fault schedule). The dataclasses are the schema. An
+object accepts exactly its dataclass's field names as keys; a field without
+a default is a required key, and an omitted key takes the field's default.
+A field whose type is a dataclass (``algorithm``, ``trainer``,
+``heterogeneity``) is a nested object, which may be omitted when all of its
+own keys have defaults; a ``tuple[X, ...]`` field (``sites``, ``faults``)
+is an array of such objects.
+
+Unknown keys are rejected and every module invariant is re-checked at load
+time. Any invalid value raises :class:`~fedkit.errors.ConfigError` naming
+its key (a value of the wrong JSON type names the object that holds it),
+with a line anchor into the file wherever one can be found. The config echo
+in a report, :func:`~fedkit.server.config_to_dict`, parses back to an equal
+config with the same config hash.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import re
+import typing
 from dataclasses import dataclass
 from typing import Optional
 
-from .aggregation import AlgorithmConfig
 from .errors import ConfigError, FedkitError
-from .server import FederationConfig, SiteSpec
-from .simulator import FaultEvent, SimScenario
-from .training import HeterogeneityConfig, TrainerConfig
-
-_TOP_KEYS = {
-    "sites",
-    "rounds",
-    "algorithm",
-    "trainer",
-    "heterogeneity",
-    "on_client_loss",
-    "min_clients_per_round",
-    "checkpoint_path",
-    "round_timeout_seconds",
-    "simulator",
-}
-_SITE_KEYS = {"name", "expected", "fraction"}
-_ALGORITHM_KEYS = {"kind", "prox_mu", "ditto_lambda", "weighting"}
-_TRAINER_KEYS = {"trainer", "lr", "local_steps", "batch", "seed"}
-_HETEROGENEITY_KEYS = {"base_optimum", "shift_scale", "noise_std", "samples_per_site", "fraction"}
-_SIMULATOR_KEYS = {
-    "site_multipliers",
-    "base_round_cost_seconds",
-    "aggregation_cost_seconds",
-    "faults",
-    "local_baseline",
-}
-_FAULT_KEYS = {"at_round", "target", "kind", "downtime_seconds"}
+from .server import FederationConfig
+from .simulator import SimScenario
 
 
 @dataclass(frozen=True)
@@ -69,22 +57,12 @@ class _Context:
         self.source = source
 
     def fail(self, key: str, why: str) -> ConfigError:
-        line = _line_of(self.text, key.rsplit(".", 1)[-1])
+        # Anchor at the innermost part of the key path found in the file, so
+        # a missing key points at the object that lacks it.
+        lines = (_line_of(self.text, part) for part in reversed(key.split(".")) if part)
+        line = next((n for n in lines if n is not None), None)
         anchor = f"{self.source}:{line}" if line is not None else self.source
-        return ConfigError(f"{anchor}: {key}: {why}")
-
-    def check_keys(self, obj: dict, allowed: set, where: str) -> None:
-        if not isinstance(obj, dict):
-            raise self.fail(where, f"must be an object, got {type(obj).__name__}")
-        for key in obj:
-            if key not in allowed:
-                raise self.fail(f"{where}.{key}" if where else key, "unknown key")
-
-    def require(self, obj: dict, key: str, where: str = ""):
-        if key not in obj:
-            path = f"{where}.{key}" if where else key
-            raise self.fail(path, "missing required key")
-        return obj[key]
+        return ConfigError(f"{anchor}: {key}: {why}" if key else f"{anchor}: {why}")
 
 
 def parse_config(text: str, source: str = "<config>") -> ConfigDocument:
@@ -94,90 +72,65 @@ def parse_config(text: str, source: str = "<config>") -> ConfigDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    ctx.check_keys(doc, _TOP_KEYS, "")
-
-    sites_doc = ctx.require(doc, "sites")
-    if not isinstance(sites_doc, list) or not sites_doc:
-        raise ctx.fail("sites", "must be a non-empty array of site objects")
-    sites = []
-    for entry in sites_doc:
-        ctx.check_keys(entry, _SITE_KEYS, "sites")
-        try:
-            sites.append(
-                SiteSpec(
-                    name=ctx.require(entry, "name", "sites"),
-                    expected=entry.get("expected", True),
-                    fraction=entry.get("fraction"),
-                )
-            )
-        except FedkitError as exc:
-            raise ctx.fail("sites", str(exc)) from exc
-
-    algorithm = _build(ctx, doc.get("algorithm", {}), _ALGORITHM_KEYS, "algorithm", AlgorithmConfig)
-    trainer = _build(ctx, doc.get("trainer", {}), _TRAINER_KEYS, "trainer", TrainerConfig)
-    het_doc = ctx.require(doc, "heterogeneity")
-    heterogeneity = _build(ctx, het_doc, _HETEROGENEITY_KEYS, "heterogeneity", HeterogeneityConfig)
-    if "base_optimum" not in het_doc:
-        raise ctx.fail("heterogeneity.base_optimum", "missing required key")
-
-    try:
-        federation = FederationConfig(
-            sites=tuple(sites),
-            rounds=ctx.require(doc, "rounds"),
-            algorithm=algorithm,
-            trainer=trainer,
-            heterogeneity=heterogeneity,
-            on_client_loss=doc.get("on_client_loss", "wait"),
-            min_clients_per_round=doc.get("min_clients_per_round"),
-            checkpoint_path=doc.get("checkpoint_path", "checkpoint.json"),
-            round_timeout_seconds=doc.get("round_timeout_seconds"),
-        )
-    except FedkitError as exc:
-        raise ctx.fail("federation", str(exc)) from exc
-
+    has_scenario = isinstance(doc, dict) and "simulator" in doc
+    scenario_doc = doc.pop("simulator") if has_scenario else None
+    federation = _build(ctx, FederationConfig, doc, "")
     scenario = None
-    if "simulator" in doc:
-        scenario = _build_scenario(ctx, doc["simulator"], federation)
+    if has_scenario:
+        scenario = _build(ctx, SimScenario, scenario_doc, "simulator", federation=federation)
     return ConfigDocument(federation=federation, scenario=scenario)
 
 
-def _build(ctx: _Context, obj: dict, allowed: set, where: str, factory):
-    ctx.check_keys(obj, allowed, where)
+@functools.cache
+def _schema(cls) -> dict:
+    """Per field of dataclass ``cls``: (required, nested dataclass or None,
+    whether the field is an array of them). Resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        many = typing.get_origin(hint) is tuple
+        nested = typing.get_args(hint)[0] if many else hint
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        schema[f.name] = (required, nested if dataclasses.is_dataclass(nested) else None, many)
+    return schema
+
+
+def _build(ctx: _Context, cls, obj, where: str, **given):
+    """Build dataclass ``cls`` from the JSON object ``obj`` at key path
+    ``where``; ``given`` fields come from the caller, not the document."""
+    if not isinstance(obj, dict):
+        raise ctx.fail(where, f"must be an object, got {type(obj).__name__}")
+    schema = _schema(cls)
+    for key in obj:
+        if key not in schema or key in given:
+            raise ctx.fail(f"{where}.{key}" if where else key, "unknown key")
+    kwargs = dict(given)
+    for name, (required, nested, many) in schema.items():
+        if name in given:
+            continue
+        path = f"{where}.{name}" if where else name
+        if nested is not None and not many:
+            # An omitted object takes the defaults of all its keys.
+            kwargs[name] = _build(ctx, nested, obj.get(name, {}), path)
+        elif name not in obj:
+            if required:
+                raise ctx.fail(path, "missing required key")
+        elif nested is not None:
+            items = obj[name]
+            if not isinstance(items, list):
+                raise ctx.fail(path, "must be an array of objects")
+            kwargs[name] = tuple(_build(ctx, nested, item, path) for item in items)
+        else:
+            kwargs[name] = obj[name]
     try:
-        return factory(**obj)
+        return cls(**kwargs)
     except FedkitError as exc:
         raise ctx.fail(where, str(exc)) from exc
-    except TypeError as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        # A value of the wrong JSON type fails inside the dataclass's own
+        # checks, which cannot tell which key held it.
         raise ctx.fail(where, f"invalid value: {exc}") from exc
-
-
-def _build_scenario(ctx: _Context, obj: dict, federation: FederationConfig) -> SimScenario:
-    ctx.check_keys(obj, _SIMULATOR_KEYS, "simulator")
-    faults = []
-    for entry in obj.get("faults", []):
-        ctx.check_keys(entry, _FAULT_KEYS, "simulator.faults")
-        try:
-            faults.append(
-                FaultEvent(
-                    at_round=ctx.require(entry, "at_round", "simulator.faults"),
-                    target=ctx.require(entry, "target", "simulator.faults"),
-                    kind=entry.get("kind", "crash"),
-                    downtime_seconds=entry.get("downtime_seconds", 0.0),
-                )
-            )
-        except FedkitError as exc:
-            raise ctx.fail("simulator.faults", str(exc)) from exc
-    try:
-        return SimScenario(
-            federation=federation,
-            site_multipliers=obj.get("site_multipliers", {}),
-            base_round_cost_seconds=obj.get("base_round_cost_seconds", 1.0),
-            aggregation_cost_seconds=obj.get("aggregation_cost_seconds", 0.0),
-            faults=tuple(faults),
-            local_baseline=obj.get("local_baseline", False),
-        )
-    except FedkitError as exc:
-        raise ctx.fail("simulator", str(exc)) from exc
 
 
 def load_config(path: str) -> ConfigDocument:

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import IoError, ReportError
-from .params import EvalScore, ParameterVector
+from .params import EvalScore, ParameterVector, to_json
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,11 @@ class ClientRoundStat:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Timing (and optionally score) observations for one aggregated round."""
+    """Timing observations for one aggregated round."""
 
     round: int
     per_client: Mapping[str, ClientRoundStat]
     aggregation_seconds: float
-    global_eval: Optional[Mapping[str, EvalScore]] = None
 
     def __post_init__(self):
         if self.aggregation_seconds < 0:
@@ -210,44 +209,13 @@ def read_csv_records(path: str) -> list[RoundRecord]:
 
 # --- report (de)serialization -------------------------------------------------
 
-def _score_to_dict(score: EvalScore) -> dict:
-    return {"mean": score.mean, "std": score.std, "metric": score.metric}
-
-
 def _score_from_dict(obj: dict) -> EvalScore:
     return EvalScore(mean=obj["mean"], std=obj["std"], metric=obj["metric"])
 
 
 def report_to_dict(report: ExperimentReport, **extras) -> dict:
-    doc = {
-        "config": report.config,
-        "status": report.status,
-        "totals": {
-            "train": report.totals.train,
-            "validate": report.totals.validate,
-            "aggregate": report.totals.aggregate,
-        },
-        "rounds": [
-            {
-                "round": r.round,
-                "aggregation_seconds": r.aggregation_seconds,
-                "per_client": {
-                    site: {
-                        "train_seconds": s.train_seconds,
-                        "waiting_seconds": s.waiting_seconds,
-                        "submitted": s.submitted,
-                    }
-                    for site, s in r.per_client.items()
-                },
-            }
-            for r in report.rounds
-        ],
-        "final_scores": {site: _score_to_dict(s) for site, s in report.final_scores.items()},
-        "global_mean": _score_to_dict(report.global_mean),
-        "final_global": report.final_global.tolist(),
-    }
-    doc.update(extras)
-    return doc
+    """The report as a JSON-ready document; ``extras`` become extra top-level keys."""
+    return {**to_json(report), **to_json(extras)}
 
 
 def report_from_dict(doc: dict) -> ExperimentReport:

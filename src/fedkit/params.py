@@ -7,6 +7,7 @@ between threads without coordination.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -139,3 +140,22 @@ def dice_score(predicted: Sequence | Iterable, truth: Sequence | Iterable) -> fl
         return 1.0
     intersection = int(np.count_nonzero((p == 1) & (t == 1)))
     return (2 * intersection) / (size_p + size_t)
+
+
+def to_json(value):
+    """JSON-ready form of a value built from this package's types.
+
+    A dataclass becomes ``{field: value}``, a parameter vector and a tuple
+    become lists, and mappings keep their keys. Config echoes, reports and
+    their extras all serialize through here, so the dataclasses are the one
+    schema.
+    """
+    if isinstance(value, ParameterVector):
+        return value.tolist()
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    return value

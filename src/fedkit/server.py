@@ -37,7 +37,7 @@ from .errors import (
     StartupError,
 )
 from .metrics import ClientRoundStat, ExperimentReport, RoundRecord, summarize
-from .params import ModelUpdate, ParameterVector
+from .params import ModelUpdate, ParameterVector, to_json
 from .protocol import (
     Abort,
     FrameDecoder,
@@ -89,7 +89,7 @@ class SiteSpec:
 class FederationConfig:
     """Full experiment description shared by server, clients, and simulator."""
 
-    sites: tuple
+    sites: tuple[SiteSpec, ...]
     rounds: int
     algorithm: AlgorithmConfig
     trainer: TrainerConfig
@@ -154,37 +154,9 @@ class FederationConfig:
 
 
 def config_to_dict(cfg: FederationConfig) -> dict:
-    """Canonical JSON-ready form; the config echo in reports."""
-    return {
-        "sites": [
-            {"name": s.name, "expected": s.expected, "fraction": s.fraction} for s in cfg.sites
-        ],
-        "rounds": cfg.rounds,
-        "algorithm": {
-            "kind": cfg.algorithm.kind,
-            "prox_mu": cfg.algorithm.prox_mu,
-            "ditto_lambda": cfg.algorithm.ditto_lambda,
-            "weighting": cfg.algorithm.weighting,
-        },
-        "trainer": {
-            "trainer": cfg.trainer.trainer,
-            "lr": cfg.trainer.lr,
-            "local_steps": cfg.trainer.local_steps,
-            "batch": cfg.trainer.batch,
-            "seed": cfg.trainer.seed,
-        },
-        "heterogeneity": {
-            "base_optimum": list(cfg.heterogeneity.base_optimum),
-            "shift_scale": cfg.heterogeneity.shift_scale,
-            "noise_std": cfg.heterogeneity.noise_std,
-            "samples_per_site": cfg.heterogeneity.samples_per_site,
-            "fraction": cfg.heterogeneity.fraction,
-        },
-        "on_client_loss": cfg.on_client_loss,
-        "min_clients_per_round": cfg.min_clients_per_round,
-        "checkpoint_path": cfg.checkpoint_path,
-        "round_timeout_seconds": cfg.round_timeout_seconds,
-    }
+    """Canonical JSON-ready form; the config echo in reports. It parses back
+    to an equal config."""
+    return to_json(cfg)
 
 
 def config_hash(cfg: FederationConfig) -> str:
@@ -358,7 +330,6 @@ class FederationCoordinator:
         self._state: Optional[RoundState] = None
         self._phase = "waiting"  # waiting | collecting | finished
         self.records: list = []
-        self.round_globals: list = []  # (round_index, ParameterVector)
         self.status: Optional[str] = None
         self.abort_reason = ""
         self.stale_updates = 0
@@ -539,7 +510,6 @@ class FederationCoordinator:
         self.records.append(
             RoundRecord(round=st.round, per_client=per_client, aggregation_seconds=agg_seconds)
         )
-        self.round_globals.append((st.round, aggregated))
         self._global = aggregated
         cmds: list = [SaveCheckpoint(st.round, aggregated)]
         self._round = st.round + 1

@@ -83,7 +83,7 @@ class SimScenario:
     site_multipliers: dict = field(default_factory=dict)
     base_round_cost_seconds: float = 1.0
     aggregation_cost_seconds: float = 0.0
-    faults: tuple = ()
+    faults: tuple[FaultEvent, ...] = ()
     local_baseline: bool = False
 
     def __post_init__(self):

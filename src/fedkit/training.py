@@ -371,11 +371,6 @@ def metric_for(tcfg: TrainerConfig) -> str:
     return "mse_loss" if tcfg.trainer == "least_squares" else "dice"
 
 
-def work_estimate(data: ClientDataset, tcfg: TrainerConfig) -> float:
-    """Deterministic per-round work estimate in seconds (for simulated timing)."""
-    return 1e-8 * tcfg.local_steps * data.features.size
-
-
 def with_fraction(hcfg: HeterogeneityConfig, fraction: Optional[float]) -> HeterogeneityConfig:
     """A copy of ``hcfg`` with a per-site fraction override applied."""
     if fraction is None:

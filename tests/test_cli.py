@@ -40,6 +40,11 @@ class TestServerCommand:
         assert main(["server", "--config", path, "--listen", "127.0.0.1:0"]) == 2
         assert "frobnicate" in capsys.readouterr().err
 
+    def test_wrong_value_type_exits_2_not_a_traceback(self, tmp_path, capsys):
+        path = write_config(tmp_path, round_timeout_seconds="10")
+        assert main(["server", "--config", path, "--listen", "127.0.0.1:0"]) == 2
+        assert "invalid value" in capsys.readouterr().err
+
     def test_resume_without_checkpoint_exits_3(self, tmp_path, capsys):
         path = write_config(tmp_path)
         code = main(["server", "--config", path, "--listen", "127.0.0.1:0", "--resume"])

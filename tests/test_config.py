@@ -1,9 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from fedkit import ConfigError
 from fedkit.config import load_config, parse_config
+from fedkit.server import config_hash, config_to_dict
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def minimal_config(**overrides):
@@ -94,6 +99,53 @@ class TestParseConfig:
         doc["simulator"] = {"bandwidth_model": "lte"}
         with pytest.raises(ConfigError, match="bandwidth_model"):
             parse(doc)
+
+    def test_missing_base_optimum_named(self):
+        doc = minimal_config()
+        del doc["heterogeneity"]["base_optimum"]
+        with pytest.raises(ConfigError, match=r"heterogeneity\.base_optimum: missing required key"):
+            parse(doc)
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            (minimal_config(simulator={"faults": [{"at_round": 1}]}), "simulator.faults.target"),
+            (minimal_config(sites=[{"name": "a"}, {"expected": False}]), "sites.name"),
+        ],
+    )
+    def test_missing_nested_key_anchored_once(self, doc, key):
+        with pytest.raises(ConfigError) as info:
+            parse(doc)
+        message = str(info.value)
+        assert re.fullmatch(r"cfg\.json:\d+: " + re.escape(key) + ": missing required key", message)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"round_timeout_seconds": "10"},
+            {"simulator": {"site_multipliers": {"a": "2"}}},
+            {"simulator": {"site_multipliers": [1]}},
+            {"simulator": {"faults": [{"at_round": "1", "target": "a"}]}},
+            {"simulator": {"base_round_cost_seconds": "1"}},
+        ],
+    )
+    def test_wrong_json_type_is_config_error(self, overrides):
+        with pytest.raises(ConfigError, match="invalid value"):
+            parse(minimal_config(**overrides))
+
+
+def readme_example():
+    text = README.read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("doc", [minimal_config(), readme_example()], ids=["minimal", "readme"])
+    def test_echo_parses_back_to_the_same_config(self, doc):
+        cfg = parse(doc).federation
+        again = parse_config(json.dumps(config_to_dict(cfg))).federation
+        assert again == cfg
+        assert config_hash(again) == config_hash(cfg)
 
 
 class TestLoadConfig:

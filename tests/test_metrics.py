@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fedkit import (
@@ -186,6 +188,11 @@ class TestReportSerialization:
         assert again.global_mean == report.global_mean
         assert again.final_global == report.final_global
         assert [r.round for r in again.rounds] == [r.round for r in report.rounds]
+
+    def test_json_round_trip_is_a_fixed_point(self):
+        doc = report_to_dict(make_report(rounds=3))
+        again = report_to_dict(report_from_dict(json.loads(json.dumps(doc))))
+        assert again == doc
 
     def test_render_summary_mentions_totals_in_hours(self):
         report = make_report()

@@ -22,7 +22,6 @@ from fedkit.training import (
     initial_global,
     metric_for,
     param_dim,
-    work_estimate,
 )
 
 
@@ -277,15 +276,6 @@ class TestSegmentationTraining:
         after = evaluate(out.params, data, "dice").mean
         assert after > before
         assert after > 0.8
-
-
-class TestWorkEstimate:
-    def test_scales_with_steps_and_rows(self):
-        h = HeterogeneityConfig(base_optimum=[1.0, 1.0], samples_per_site=10)
-        data = generate_site_data(h, 0, seed=2)
-        small = work_estimate(data, TrainerConfig(local_steps=1))
-        big = work_estimate(data, TrainerConfig(local_steps=4))
-        assert big == 4 * small > 0
 
 
 class TestPooledDominance:
