@@ -139,15 +139,19 @@ def cmd_report(args) -> int:
         return EXIT_CONFIG
     print("== totals ==")
     for directory, doc in documents:
-        totals = doc["totals"]
-        total = totals["train"] + totals["validate"] + totals["aggregate"]
-        print(
-            f"{directory}: status {doc.get('status', '?')} | "
-            f"train {totals['train'] / 3600:.2f} hr | "
-            f"aggregate {totals['aggregate'] / 3600:.2f} hr | "
-            f"validate {totals['validate'] / 3600:.2f} hr | "
-            f"total {total / 3600:.2f} hr"
-        )
+        status = f"{directory}: status {doc.get('status', '?')}"
+        totals = doc.get("totals")
+        if totals is None:  # a run that completed no round has no totals
+            print(status)
+        else:
+            total = totals["train"] + totals["validate"] + totals["aggregate"]
+            print(
+                f"{status} | "
+                f"train {totals['train'] / 3600:.2f} hr | "
+                f"aggregate {totals['aggregate'] / 3600:.2f} hr | "
+                f"validate {totals['validate'] / 3600:.2f} hr | "
+                f"total {total / 3600:.2f} hr"
+            )
         if doc.get("diagnosis"):
             print(f"  finding: {doc['diagnosis']}")
     if len(documents) > 1:

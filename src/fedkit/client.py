@@ -156,7 +156,9 @@ class ClientSession:
 
     For the personalization algorithm the session also keeps the per-client
     personal model; it never leaves the site and survives reconnects (but
-    not process crashes; it is in-memory state).
+    not process crashes; it is in-memory state). A task re-sent for the
+    round already stepped restarts that round's personal step from the same
+    start, so reconnects and server restarts leave it unchanged.
     """
 
     def __init__(self, cfg: ClientConfig, trainer: TrainerConfig, heterogeneity: HeterogeneityConfig):
@@ -164,6 +166,9 @@ class ClientSession:
         self.trainer = trainer
         self.heterogeneity = heterogeneity
         self.personal_params: Optional[ParameterVector] = None
+        # The round whose personal step was last taken, and its start model.
+        self._personal_round: Optional[int] = None
+        self._personal_start: Optional[ParameterVector] = None
         self._data: Optional[ClientDataset] = None
         self._held: Optional[ModelUpdate] = None
 
@@ -220,10 +225,13 @@ class ClientSession:
             round_index=round_index,
         )
         if algorithm.kind == "ditto":
-            if self.personal_params is None:
-                self.personal_params = params
+            if round_index != self._personal_round:
+                # A task for the round already stepped is a re-sent one (after
+                # a reconnect or a server restart): step again from its start.
+                self._personal_round = round_index
+                self._personal_start = params if self.personal_params is None else self.personal_params
             self.personal_params = ditto_personal_round(
-                self.personal_params, self.data, self.trainer, params, algorithm.ditto_lambda
+                self._personal_start, self.data, self.trainer, params, algorithm.ditto_lambda
             )
         return update
 
@@ -235,6 +243,8 @@ class ClientSession:
         """Crash semantics: in-memory state (held update, personal model) is lost."""
         self._held = None
         self.personal_params = None
+        self._personal_round = None
+        self._personal_start = None
 
     def _update_message(self, update: ModelUpdate) -> Message:
         return Message("update_submission", update.round, update.client_id, update)

@@ -11,10 +11,13 @@ A field whose type is a dataclass (``algorithm``, ``trainer``,
 own keys have defaults; a ``tuple[X, ...]`` field (``sites``, ``faults``)
 is an array of such objects.
 
-Unknown keys are rejected and every module invariant is re-checked at load
-time. Any invalid value raises :class:`~fedkit.errors.ConfigError` naming
-its key (a value of the wrong JSON type names the object that holds it),
-with a line anchor into the file wherever one can be found. The config echo
+Unknown keys are rejected, each value's JSON type is checked against its
+field's annotation (an ``int`` field takes no float or boolean, a ``float``
+field also takes an integer, an ``Optional`` field also takes null), and
+every module invariant is re-checked at load time. Any invalid value raises
+:class:`~fedkit.errors.ConfigError` naming its key (an element of the wrong
+type inside an array or a mapping names the key holding it), with a line
+anchor into the file wherever one can be found. The config echo
 in a report, :func:`~fedkit.server.config_to_dict`, parses back to an equal
 config with the same config hash.
 """
@@ -24,6 +27,7 @@ import dataclasses
 import functools
 import json
 import re
+import types
 import typing
 from dataclasses import dataclass
 from typing import Optional
@@ -81,18 +85,39 @@ def parse_config(text: str, source: str = "<config>") -> ConfigDocument:
     return ConfigDocument(federation=federation, scenario=scenario)
 
 
+# Names of field annotations and of JSON value types, for messages.
+_TYPE_NAMES = {
+    int: "integer", float: "number", str: "string", bool: "boolean",
+    tuple: "array", list: "array", dict: "object", type(None): "null",
+}
+# The JSON value types a field of these annotations takes; any other field
+# takes exactly its annotated type (so a bool is no int).
+_ACCEPTS = {float: (int, float), tuple: (list,)}
+
+
+def _value_check(hint) -> tuple:
+    """(expected-type phrase, accepted JSON value types) of a plain field."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    kinds = typing.get_args(hint) if union else (hint,)
+    accepts = tuple(t for k in kinds for t in _ACCEPTS.get(k, (k,)))
+    return " or ".join(_TYPE_NAMES[k] for k in kinds), accepts
+
+
 @functools.cache
 def _schema(cls) -> dict:
     """Per field of dataclass ``cls``: (required, nested dataclass or None,
-    whether the field is an array of them). Resolved once per class."""
+    whether the field is an array of them, the value check of a plain
+    field or None). Resolved once per class."""
     hints = typing.get_type_hints(cls)
     schema = {}
     for f in dataclasses.fields(cls):
         hint = hints[f.name]
         many = typing.get_origin(hint) is tuple
         nested = typing.get_args(hint)[0] if many else hint
+        nested = nested if dataclasses.is_dataclass(nested) else None
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        schema[f.name] = (required, nested if dataclasses.is_dataclass(nested) else None, many)
+        check = _value_check(hint) if nested is None else None
+        schema[f.name] = (required, nested, many, check)
     return schema
 
 
@@ -106,7 +131,7 @@ def _build(ctx: _Context, cls, obj, where: str, **given):
         if key not in schema or key in given:
             raise ctx.fail(f"{where}.{key}" if where else key, "unknown key")
     kwargs = dict(given)
-    for name, (required, nested, many) in schema.items():
+    for name, (required, nested, many, check) in schema.items():
         if name in given:
             continue
         path = f"{where}.{name}" if where else name
@@ -122,7 +147,12 @@ def _build(ctx: _Context, cls, obj, where: str, **given):
                 raise ctx.fail(path, "must be an array of objects")
             kwargs[name] = tuple(_build(ctx, nested, item, path) for item in items)
         else:
-            kwargs[name] = obj[name]
+            value = obj[name]
+            expected, accepts = check
+            if type(value) not in accepts:
+                got = _TYPE_NAMES[type(value)]
+                raise ctx.fail(path, f"invalid value: expected {expected}, got {got}")
+            kwargs[name] = value
     try:
         return cls(**kwargs)
     except FedkitError as exc:

@@ -186,10 +186,12 @@ def save_checkpoint(path: str, round_index: int, params: ParameterVector, cfg_ha
         "global": params.tolist(),
         "config_hash": cfg_hash,
     }
+    # One dumps and one write: json.dump to a file runs the pure-Python encoder.
+    text = json.dumps(doc, sort_keys=True)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -11,6 +11,13 @@ Two desk-scale tasks stand in for the heavyweight imaging workloads:
   per image. The per-site shift perturbs the labeling rule, playing the
   role of site-specific annotation guidelines.
 
+Site data is a pure function of (seed, site index, train or val), and the
+order of draws from each site's random stream is part of that contract.
+A segmentation draw takes, per image and in image order, the blob center,
+then the 64 intensity-noise normals, then the 64 label-noise normals (only
+when ``noise_std > 0``); a least-squares draw takes the feature matrix,
+then the target noise. The per-site shift comes from a separate stream.
+
 Training is full-batch, deterministic gradient descent only; every
 equivalence property in the test suite relies on exact oracle comparison,
 which stochastic minibatching would turn into statistical tolerances.
@@ -202,21 +209,28 @@ def generate_site_data(
         raise ConfigError(
             f"synthetic_segmentation needs a {PIXEL_FEATURES}-element base_optimum, got {len(w_eff)}"
         )
-    rows = np.arange(IMAGE_SIDE)[:, None]
-    cols = np.arange(IMAGE_SIDE)[None, :]
-    features = np.empty((n, PIXELS * PIXEL_FEATURES))
-    targets = np.empty((n, PIXELS))
+    # The draws stay per image, in stream order; the pixel math runs on all
+    # images at once with the same elementwise operations.
+    centers = np.empty((n, 2), dtype=np.int64)
+    intensity_noise = np.empty((n, PIXELS))
+    label_noise = np.empty((n, PIXELS)) if hcfg.noise_std > 0 else None
     for i in range(n):
-        center = rng.integers(0, IMAGE_SIDE, size=2)
-        dist2 = (rows - center[0]) ** 2 + (cols - center[1]) ** 2
-        intensity = np.exp(-dist2 / (2.0 * _BLOB_SIGMA**2)).reshape(-1)
-        intensity = intensity + _INTENSITY_NOISE * rng.standard_normal(PIXELS)
-        logits = w_eff[0] * intensity + w_eff[1]
-        if hcfg.noise_std > 0:
-            logits = logits + hcfg.noise_std * rng.standard_normal(PIXELS)
-        targets[i] = (logits > 0).astype(np.float64)
-        features[i] = np.column_stack([intensity, np.ones(PIXELS)]).reshape(-1)
-    return ClientDataset(features, targets, delta)
+        centers[i] = rng.integers(0, IMAGE_SIDE, size=2)
+        rng.standard_normal(out=intensity_noise[i])
+        if label_noise is not None:
+            rng.standard_normal(out=label_noise[i])
+    rows = np.arange(IMAGE_SIDE)[None, :, None]
+    cols = np.arange(IMAGE_SIDE)[None, None, :]
+    dist2 = (rows - centers[:, 0, None, None]) ** 2 + (cols - centers[:, 1, None, None]) ** 2
+    intensity = np.exp(-dist2 / (2.0 * _BLOB_SIGMA**2)).reshape(n, PIXELS)
+    intensity += _INTENSITY_NOISE * intensity_noise
+    logits = w_eff[0] * intensity + w_eff[1]
+    if label_noise is not None:
+        logits += hcfg.noise_std * label_noise
+    targets = (logits > 0).astype(np.float64)
+    features = np.ones((n, PIXELS, PIXEL_FEATURES))
+    features[:, :, 0] = intensity
+    return ClientDataset(features.reshape(n, PIXELS * PIXEL_FEATURES), targets, delta)
 
 
 def _pixel_matrix(data: ClientDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -231,9 +245,14 @@ def _grad_values(w: np.ndarray, data: ClientDataset, tcfg: TrainerConfig) -> np.
         residual = x @ w - y
         return x.T @ residual / y.size
     x, y = _pixel_matrix(data)
-    z = x @ w
-    p = 1.0 / (1.0 + np.exp(-z))
-    return x.T @ (p - y) / y.size
+    # sigmoid(x @ w) - y, in place in the product's buffer
+    r = x @ w
+    np.negative(r, out=r)
+    np.exp(r, out=r)
+    r += 1.0
+    np.divide(1.0, r, out=r)
+    r -= y
+    return x.T @ r / y.size
 
 
 def _check_dims(start: ParameterVector, data: ClientDataset, tcfg: TrainerConfig) -> None:

@@ -278,3 +278,26 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "global vs local" in out
         assert "trained\\validated" in out
+
+    def test_report_without_rounds_prints_status_and_finding(self, tmp_path, capsys):
+        doc = {
+            "sites": [{"name": "basel"}],
+            "rounds": 2,
+            "trainer": {"lr": 0.1, "local_steps": 1, "seed": 6},
+            "heterogeneity": {"base_optimum": [1.0], "samples_per_site": 4},
+            "simulator": {
+                "faults": [{"at_round": 0, "target": "server", "kind": "crash",
+                            "downtime_seconds": float("inf")}],
+            },
+        }
+        path = tmp_path / "down.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        directory = str(tmp_path / "out" / "down")
+        assert "totals" not in json.loads(open(f"{directory}/report.json").read())
+        capsys.readouterr()
+        assert main(["report", "--in", directory]) == 0
+        out = capsys.readouterr().out
+        assert f"{directory}: status hung" in out
+        assert "finding:" in out
+        assert " hr" not in out

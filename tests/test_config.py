@@ -133,6 +133,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="invalid value"):
             parse(minimal_config(**overrides))
 
+    @pytest.mark.parametrize(
+        "overrides, key, expected, got",
+        [
+            ({"round_timeout_seconds": "10"}, "round_timeout_seconds", "number or null", "string"),
+            ({"trainer": {"local_steps": 1.5}}, "trainer.local_steps", "integer", "number"),
+            ({"trainer": {"seed": 1.5}}, "trainer.seed", "integer", "number"),
+            ({"heterogeneity": {"base_optimum": [1.0, -1.0], "samples_per_site": 2.5}},
+             "heterogeneity.samples_per_site", "integer", "number"),
+            ({"sites": [{"name": "a", "expected": "no"}]}, "sites.expected", "boolean", "string"),
+            ({"sites": [{"name": 7}]}, "sites.name", "string", "integer"),
+        ],
+    )
+    def test_wrong_json_type_names_key_and_types(self, overrides, key, expected, got):
+        with pytest.raises(ConfigError) as info:
+            parse(minimal_config(**overrides))
+        pattern = rf"cfg\.json:\d+: {re.escape(key)}: invalid value: expected {expected}, got {got}"
+        assert re.fullmatch(pattern, str(info.value))
+
 
 def readme_example():
     text = README.read_text()

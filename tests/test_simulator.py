@@ -240,6 +240,26 @@ class TestFaultTolerance:
         assert report.status == "aborted"
         assert "quorum" in report.diagnosis
 
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            (FaultEvent(at_round=4, target="server", kind="crash", downtime_seconds=25.0),),
+            (FaultEvent(at_round=2, target="b", kind="disconnect", downtime_seconds=40.0),
+             FaultEvent(at_round=4, target="server", kind="crash", downtime_seconds=25.0),
+             FaultEvent(at_round=6, target="c", kind="disconnect", downtime_seconds=15.0)),
+        ],
+        ids=["server_crash", "crash_and_disconnects"],
+    )
+    def test_ditto_personal_models_are_fault_transparent(self, tmp_path, faults):
+        ditto = AlgorithmConfig(kind="ditto", ditto_lambda=0.5)
+        plain = simulate(scenario(tmp_path, {}, rounds=8, name="v", algorithm=ditto))
+        faulted = simulate(
+            scenario(tmp_path, {}, rounds=8, name="w", faults=faults, algorithm=ditto)
+        )
+        assert faulted.status == "completed"
+        assert faulted.final_global == plain.final_global
+        assert faulted.personal_models == plain.personal_models
+
 
 class TestDeterminism:
     def test_same_scenario_bit_identical(self, tmp_path):

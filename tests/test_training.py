@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from fedkit import (
 )
 from fedkit.training import (
     PIXELS,
+    _grad_values,
     ditto_personal_round,
     initial_global,
     metric_for,
@@ -28,6 +31,39 @@ from fedkit.training import (
 def least_squares_objective(w, X, y):
     r = X @ w - y
     return 0.5 * float(r @ r) / len(y)
+
+
+# sha256 over features, targets and site_shift bytes of generate_site_data
+# (shift_scale 0.5, site 3, seed 11): (task, noise_std, samples_per_site,
+# fraction, role, digest). The random stream order is the data contract, so
+# any change to how site data is drawn or computed shows up here.
+GOLDEN_BASE_OPTIMUM = {"least_squares": (1.0, -2.0, 0.5), "synthetic_segmentation": (8.0, -4.0)}
+GOLDEN_DIGESTS = [
+    ("least_squares", 0.0, 6, 1.0, "train", "e05b62649d46aec4dd2a3d33c8668406bf894a50741a26708369056449ae0477"),
+    ("least_squares", 0.0, 6, 1.0, "val", "a6f3d0bb2b4ea88b110bcbce119d18e520114791e690a0c0732d10aa1f55fb41"),
+    ("least_squares", 0.0, 9, 0.5, "train", "cb8051ff79859428b16b9bf1c50cc67180035fe9804451b606e892fafd91b9bc"),
+    ("least_squares", 0.0, 9, 0.5, "val", "03ad0a953bde5ff43f356eb0e8243b60d3805ec1698ddc7f91ff114335fc9016"),
+    ("least_squares", 0.0, 1, 1.0, "train", "fd2ba928dfde3171c08486d3e8d78b44c131d038719365170ad01b2b76fe5445"),
+    ("least_squares", 0.0, 1, 1.0, "val", "429e46310a9ebbed4c1a33de969e01adaa90fea6cd7bb42323707f91aee0a367"),
+    ("least_squares", 1.0, 6, 1.0, "train", "747dd4c3a7737c15a57ddd5f333dfd33e894facd5266d5a8c7840179ab7e72ae"),
+    ("least_squares", 1.0, 6, 1.0, "val", "a400c8589ca1d28e58f4205b6fa1faee2ee351d9b7ec0a3de82a9474f32ee67e"),
+    ("least_squares", 1.0, 9, 0.5, "train", "7095b74f14f7790ae0fbd7639faa73e77136933dbb72486bd8cff6c3f1f6beaf"),
+    ("least_squares", 1.0, 9, 0.5, "val", "82219e15e0451a5683bfcf0900b3e69e55789264e2f407b7907993f75865ce48"),
+    ("least_squares", 1.0, 1, 1.0, "train", "d2677c41932c6e2d1ecb4bac96cd84b69def6962d77b9f2e2c74cdfebcd96c08"),
+    ("least_squares", 1.0, 1, 1.0, "val", "e5a55696e3953657045a49ddb0d3b8ff8a6888484e29597a347bb994d592d83e"),
+    ("synthetic_segmentation", 0.0, 6, 1.0, "train", "66eefc7ea9968017234b6b7f9d2ecbbad56a8f29df37aba413aa757a23aee562"),
+    ("synthetic_segmentation", 0.0, 6, 1.0, "val", "6ccf4ebd6f0e7178bf510f13f93b6c598e4e954d26611b47c8768042ceea24f6"),
+    ("synthetic_segmentation", 0.0, 9, 0.5, "train", "3eb28df6ac1ac025cc2887ae93dca6a8b379b9be177de923848910799c85fb84"),
+    ("synthetic_segmentation", 0.0, 9, 0.5, "val", "150a257bc043b580bd3aeb40887bdc2e3bfabadc74fc258601ea3e6050bcc516"),
+    ("synthetic_segmentation", 0.0, 1, 1.0, "train", "e3c61bc4e696a9ef2d679943cba1766fc7f71bc73338c5df4c6604dbf614765c"),
+    ("synthetic_segmentation", 0.0, 1, 1.0, "val", "febd089eff8ccedcb4f895887237cbf8403e42f69e2d96098bc2cd5b993af1e4"),
+    ("synthetic_segmentation", 1.0, 6, 1.0, "train", "1054f4eaf06930c2957738ecba92c22237d03f51de8a7a6918e566157df25ece"),
+    ("synthetic_segmentation", 1.0, 6, 1.0, "val", "6e4e7a2c43efd83a28d2b2c3ddd6f54522f0a366193789232e6f44813346de92"),
+    ("synthetic_segmentation", 1.0, 9, 0.5, "train", "4a107b3907b65c5cef205b6ca5e8575ae0286dc76ce6f8ad8039d19ed20aebc1"),
+    ("synthetic_segmentation", 1.0, 9, 0.5, "val", "bf3e9daa89bfd83d4fec18b5d056d7025a3fab4143d394bc7125ae94927478f7"),
+    ("synthetic_segmentation", 1.0, 1, 1.0, "train", "1fb7502654430f632c3a2cd10f8c8fef8d37e4223370ecfde652079f2ebe015b"),
+    ("synthetic_segmentation", 1.0, 1, 1.0, "val", "15197850493dafda3fcffe57118bb4a17d9008433c2f79e051878c94f9150226"),
+]
 
 
 class TestConfigs:
@@ -105,6 +141,14 @@ class TestGenerateSiteData:
         assert set(np.unique(data.targets)) <= {0.0, 1.0}
         # blobs produce at least one labeled pixel somewhere
         assert data.targets.sum() > 0
+
+    @pytest.mark.parametrize("task, noise, samples, fraction, role, digest", GOLDEN_DIGESTS)
+    def test_golden_bytes(self, task, noise, samples, fraction, role, digest):
+        h = HeterogeneityConfig(base_optimum=GOLDEN_BASE_OPTIMUM[task], shift_scale=0.5,
+                                noise_std=noise, samples_per_site=samples, fraction=fraction)
+        data = generate_site_data(h, 3, seed=11, task=task, role=role)
+        raw = data.features.tobytes() + data.targets.tobytes() + data.site_shift.tobytes()
+        assert hashlib.sha256(raw).hexdigest() == digest
 
 
 class TestLocalTrain:
@@ -187,6 +231,18 @@ class TestLocalTrain:
                     - least_squares_objective(w - e, data.features, data.targets)
                 ) / (2 * step)
                 assert abs(fd - grad[j]) <= 1e-5 * max(1.0, abs(grad[j]))
+
+    def test_segmentation_gradient_is_the_textbook_formula_bitwise(self):
+        h = HeterogeneityConfig(base_optimum=[8.0, -4.0], shift_scale=0.5, noise_std=0.3,
+                                samples_per_site=9)
+        data = generate_site_data(h, 1, seed=4, task="synthetic_segmentation")
+        tcfg = TrainerConfig(trainer="synthetic_segmentation")
+        x, y = data.features.reshape(-1, 2), data.targets.reshape(-1)
+        with np.errstate(over="ignore"):
+            for w in ([0.0, 0.0], [3.0, -1.5], [-0.25, 7.0], [800.0, -900.0]):
+                w = np.array(w)
+                textbook = x.T @ (1.0 / (1.0 + np.exp(-(x @ w))) - y) / y.size
+                assert _grad_values(w, data, tcfg).tobytes() == textbook.tobytes()
 
 
 class TestOneStepEquivalence:
