@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import IoError, ReportError
-from .params import EvalScore, ParameterVector, to_json
+from .params import EvalScore, ParameterVector, field_names, from_json, to_json
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class ExperimentReport:
     """Everything one experiment produced: config echo, rounds, totals, scores."""
 
     config: dict
-    rounds: tuple
+    rounds: tuple[RoundRecord, ...]
     totals: Totals
     final_scores: Mapping[str, EvalScore]
     global_mean: EvalScore
@@ -209,41 +209,15 @@ def read_csv_records(path: str) -> list[RoundRecord]:
 
 # --- report (de)serialization -------------------------------------------------
 
-def _score_from_dict(obj: dict) -> EvalScore:
-    return EvalScore(mean=obj["mean"], std=obj["std"], metric=obj["metric"])
-
-
 def report_to_dict(report: ExperimentReport, **extras) -> dict:
     """The report as a JSON-ready document; ``extras`` become extra top-level keys."""
     return {**to_json(report), **to_json(extras)}
 
 
 def report_from_dict(doc: dict) -> ExperimentReport:
-    records = [
-        RoundRecord(
-            round=r["round"],
-            per_client={
-                site: ClientRoundStat(
-                    train_seconds=s["train_seconds"],
-                    waiting_seconds=s["waiting_seconds"],
-                    submitted=s["submitted"],
-                )
-                for site, s in r["per_client"].items()
-            },
-            aggregation_seconds=r["aggregation_seconds"],
-        )
-        for r in doc["rounds"]
-    ]
-    totals = doc["totals"]
-    return ExperimentReport(
-        config=doc.get("config", {}),
-        rounds=tuple(records),
-        totals=Totals(train=totals["train"], validate=totals["validate"], aggregate=totals["aggregate"]),
-        final_scores={site: _score_from_dict(s) for site, s in doc["final_scores"].items()},
-        global_mean=_score_from_dict(doc["global_mean"]),
-        final_global=ParameterVector(doc["final_global"]),
-        status=doc.get("status", "completed"),
-    )
+    """The inverse of :func:`report_to_dict`; extra top-level keys are ignored."""
+    fields = {key: doc[key] for key in field_names(ExperimentReport) if key in doc}
+    return from_json(ExperimentReport, fields, lambda key, why: ReportError(f"{key}: {why}"), "report")
 
 
 def save_report(doc: dict, path: str) -> None:

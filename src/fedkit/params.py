@@ -7,13 +7,17 @@ between threads without coordination.
 """
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
+import functools
+import types
+import typing
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericError
+from .errors import DimensionError, DomainError, FedkitError, NumericError
 
 EVAL_METRICS = ("dice", "mse_loss")
 
@@ -142,20 +146,154 @@ def dice_score(predicted: Sequence | Iterable, truth: Sequence | Iterable) -> fl
     return (2 * intersection) / (size_p + size_t)
 
 
+# JSON scalars: to_json returns them unchanged, and checks them first.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def field_names(cls):
+    """Field names of dataclass ``cls``, or None for any other type."""
+    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
+
+
 def to_json(value):
     """JSON-ready form of a value built from this package's types.
 
     A dataclass becomes ``{field: value}``, a parameter vector and a tuple
-    become lists, and mappings keep their keys. Config echoes, reports and
-    their extras all serialize through here, so the dataclasses are the one
-    schema.
+    become lists, and mappings keep their keys. Config echoes, reports,
+    their extras and wire bodies all serialize through here, and
+    :func:`from_json` is the inverse, so the dataclasses are the one schema.
     """
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, ParameterVector):
         return value.tolist()
-    if dataclasses.is_dataclass(value):
-        return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    names = field_names(type(value))
+    if names is not None:
+        out = {}
+        for name in names:
+            # Most fields are scalars; returning those without a call keeps
+            # per-message encoding as cheap as a hand-written encoder.
+            item = getattr(value, name)
+            out[name] = item if type(item) in _SCALARS else to_json(item)
+        return out
     if isinstance(value, dict):
         return {key: to_json(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_json(item) for item in value]
     return value
+
+
+# Names of field annotations and of JSON value types, for messages.
+_TYPE_NAMES = {
+    int: "integer", float: "number", str: "string", bool: "boolean",
+    tuple: "array", list: "array", dict: "object", type(None): "null",
+}
+# The JSON value types a field of these annotations takes; any other field
+# takes exactly its annotated type (so a bool is no int).
+_ACCEPTS = {float: (int, float), tuple: (list,)}
+_NUMBERS = frozenset((int, float))
+# How a field's JSON value becomes the field: kept after a type check, a
+# nested object, an array or a mapping of nested objects, or a vector.
+_VALUE, _OBJECT, _ARRAY, _MAPPING, _VECTOR = range(5)
+
+
+def _value_check(hint) -> tuple:
+    """(expected-type phrase, accepted JSON value types) of a plain field."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    kinds = typing.get_args(hint) if union else (hint,)
+    accepts = tuple(t for k in kinds for t in _ACCEPTS.get(k, (k,)))
+    return " or ".join(_TYPE_NAMES[k] for k in kinds), accepts
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """Per field of dataclass ``cls``: (required, shape, the nested
+    dataclass or the value check). Resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        if hint is ParameterVector:
+            shape, arg = _VECTOR, None
+        elif dataclasses.is_dataclass(hint):
+            shape, arg = _OBJECT, hint
+        elif origin is tuple and args and dataclasses.is_dataclass(args[0]):
+            shape, arg = _ARRAY, args[0]
+        elif origin is collections.abc.Mapping:
+            shape, arg = _MAPPING, args[1]
+        else:
+            shape, arg = _VALUE, _value_check(hint)
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        schema[f.name] = (required, shape, arg)
+    return schema
+
+
+def _path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def from_json(cls, obj, fail, where: str = "", **given):
+    """Build dataclass ``cls`` from the JSON object ``obj`` at key path
+    ``where``; the inverse of :func:`to_json`.
+
+    An object takes exactly the field names of ``cls`` as keys. A field
+    without a default is required, an omitted key takes its default, and an
+    omitted nested object takes the defaults of all its keys. Each plain
+    value's JSON type is checked against the field's annotation, and the
+    dataclass's own checks run last. ``given`` fields come from the caller,
+    not the document. Every failure raises ``fail(key path, why)``, the
+    caller's error type.
+    """
+    if type(obj) is not dict:
+        raise fail(where, f"must be an object, got {type(obj).__name__}")
+    schema = _schema(cls)
+    if not schema.keys() >= obj.keys() or (given and not given.keys().isdisjoint(obj)):
+        key = next(key for key in obj if key not in schema or key in given)
+        raise fail(_path(where, key), "unknown key")
+    kwargs = given
+    for name, (required, shape, arg) in schema.items():
+        if name in kwargs:
+            continue
+        if name not in obj:
+            if shape is _OBJECT:
+                kwargs[name] = from_json(arg, {}, fail, _path(where, name))
+            elif required:
+                raise fail(_path(where, name), "missing required key")
+            continue
+        value = obj[name]
+        if shape is _VALUE and type(value) in arg[1]:  # the common case formats no key path
+            kwargs[name] = value
+            continue
+        path = _path(where, name)
+        if shape is _VALUE:
+            raise fail(path, f"invalid value: expected {arg[0]}, got {_TYPE_NAMES[type(value)]}")
+        if shape is _OBJECT:
+            value = from_json(arg, value, fail, path)
+        elif shape is _VECTOR:
+            # Finiteness and size are the ParameterVector constructor's checks.
+            if type(value) is not list or not set(map(type, value)) <= _NUMBERS:
+                raise fail(path, "invalid value: expected array of numbers")
+            try:
+                value = ParameterVector(value)
+            except (FedkitError, OverflowError) as exc:
+                raise fail(path, f"invalid value: {exc}") from exc
+        elif shape is _ARRAY:
+            if type(value) is not list:
+                raise fail(path, "must be an array of objects")
+            value = tuple(from_json(arg, item, fail, path) for item in value)
+        else:
+            if type(value) is not dict:
+                raise fail(path, f"must be an object, got {type(value).__name__}")
+            value = {key: from_json(arg, item, fail, path) for key, item in value.items()}
+        kwargs[name] = value
+    try:
+        return cls(**kwargs)
+    except FedkitError as exc:
+        raise fail(where, str(exc)) from exc
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        # A value the JSON type check admits can still fail inside the
+        # dataclass's own checks (an integer too large for a float), which
+        # cannot tell which key held it.
+        raise fail(where, f"invalid value: {exc}") from exc

@@ -21,26 +21,17 @@ shared.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Union
 
-from .aggregation import ALGORITHM_KINDS, WEIGHTINGS, AlgorithmConfig
-from .errors import EncodeError, FedkitError, NeedMoreBytes, ProtocolError
-from .params import ModelUpdate, ParameterVector
+from .aggregation import AlgorithmConfig
+from .errors import EncodeError, NeedMoreBytes, ProtocolError
+from .params import ModelUpdate, ParameterVector, field_names, from_json, to_json
 
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 _LENGTH_BYTES = 4
-
-MESSAGE_KINDS = (
-    "join_request",
-    "join_ack",
-    "task_assignment",
-    "update_submission",
-    "heartbeat",
-    "experiment_done",
-    "abort",
-)
+# Built once: json.dumps with these options would build one per frame.
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -72,6 +63,14 @@ _BODY_TYPES = {
     "experiment_done": type(None),
     "abort": Abort,
 }
+MESSAGE_KINDS = tuple(_BODY_TYPES)
+# The keys of each kind's body: its fields, less those the envelope carries.
+_BODY_KEYS = {
+    kind: frozenset(field_names(cls) or ()) - {"round", "client_id"}
+    for kind, cls in _BODY_TYPES.items()
+}
+_ALGORITHM_KEYS = frozenset(field_names(AlgorithmConfig))
+_ENVELOPE_KEYS = frozenset(("kind", "round", "client_id", "body"))
 
 
 @dataclass(frozen=True)
@@ -106,52 +105,19 @@ class Message:
                 )
 
 
-def _params_to_json(params: ParameterVector) -> list:
-    return [float(v) for v in params.values]
-
-
-def _body_to_json(msg: Message) -> dict:
-    body = msg.body
-    if body is None:
-        return {}
-    if isinstance(body, JoinAck):
-        return {
-            "accepted": body.accepted,
-            "current_round": body.current_round,
-            "reason": body.reason,
-        }
-    if isinstance(body, TaskAssignment):
-        algo = body.algorithm
-        return {
-            "params": _params_to_json(body.params),
-            "algorithm": {
-                "kind": algo.kind,
-                "prox_mu": algo.prox_mu,
-                "ditto_lambda": algo.ditto_lambda,
-                "weighting": algo.weighting,
-            },
-        }
-    if isinstance(body, ModelUpdate):
-        return {
-            "params": _params_to_json(body.params),
-            "sample_count": body.sample_count,
-            "train_seconds": body.train_seconds,
-        }
-    return {"reason": body.reason}
-
-
 def encode(msg: Message) -> bytes:
     """Serialize a message into one frame."""
     document = {
         "kind": msg.kind,
         "round": msg.round,
         "client_id": msg.client_id,
-        "body": _body_to_json(msg),
+        "body": {} if msg.body is None else to_json(msg.body),
     }
+    if msg.kind == "update_submission":
+        # The envelope carries the update's round and client id.
+        del document["body"]["round"], document["body"]["client_id"]
     try:
-        payload = json.dumps(
-            document, sort_keys=True, separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
+        payload = _JSON_ENCODER.encode(document).encode("utf-8")
     except ValueError as exc:
         raise EncodeError(f"message contains non-finite values: {exc}") from exc
     if len(payload) > MAX_FRAME_BYTES:
@@ -159,122 +125,50 @@ def encode(msg: Message) -> bytes:
     return len(payload).to_bytes(_LENGTH_BYTES, "big") + payload
 
 
-def _expect_keys(obj: dict, keys: set, where: str) -> None:
-    got = set(obj)
-    if got != keys:
-        missing = keys - got
-        extra = got - keys
-        detail = []
-        if missing:
-            detail.append(f"missing {sorted(missing)}")
-        if extra:
-            detail.append(f"unexpected {sorted(extra)}")
-        raise ProtocolError(f"{where}: {'; '.join(detail)}")
-
-
-def _as_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ProtocolError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _as_finite_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"{where} must be a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ProtocolError(f"{where} must be finite, got {out!r}")
-    return out
-
-
-def _params_from_json(values, where: str) -> ParameterVector:
-    if not isinstance(values, list) or not values:
-        raise ProtocolError(f"{where} must be a non-empty array of numbers")
-    try:
-        return ParameterVector([_as_finite_float(v, where) for v in values])
-    except FedkitError as exc:
-        raise ProtocolError(f"{where}: {exc}") from exc
+def _expect_keys(obj, keys: frozenset, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ProtocolError(f"{where} must be a JSON object")
+    if obj.keys() != keys:
+        missing, extra = sorted(keys - obj.keys()), sorted(obj.keys() - keys)
+        raise ProtocolError(f"{where}: missing keys {missing}, unexpected keys {extra}")
 
 
 def _body_from_json(kind: str, round_index: int, client_id: str, body) -> Body:
-    if not isinstance(body, dict):
-        raise ProtocolError("body must be a JSON object")
-    if kind in ("join_request", "heartbeat", "experiment_done"):
-        _expect_keys(body, set(), f"{kind} body")
+    # Every body key is required on the wire, though from_json would fill
+    # in defaults for omitted ones.
+    _expect_keys(body, _BODY_KEYS[kind], f"{kind} body")
+    cls = _BODY_TYPES[kind]
+    if cls is type(None):
         return None
-    if kind == "join_ack":
-        _expect_keys(body, {"accepted", "current_round", "reason"}, "join_ack body")
-        if not isinstance(body["accepted"], bool):
-            raise ProtocolError("join_ack accepted must be a boolean")
-        if not isinstance(body["reason"], str):
-            raise ProtocolError("join_ack reason must be a string")
-        return JoinAck(
-            accepted=body["accepted"],
-            current_round=_as_int(body["current_round"], "join_ack current_round"),
-            reason=body["reason"],
-        )
-    if kind == "task_assignment":
-        _expect_keys(body, {"params", "algorithm"}, "task_assignment body")
-        algo = body["algorithm"]
-        if not isinstance(algo, dict):
-            raise ProtocolError("task_assignment algorithm must be a JSON object")
-        _expect_keys(algo, {"kind", "prox_mu", "ditto_lambda", "weighting"}, "algorithm echo")
-        if algo["kind"] not in ALGORITHM_KINDS or algo["weighting"] not in WEIGHTINGS:
-            raise ProtocolError(
-                f"algorithm echo has unknown kind/weighting: {algo['kind']!r}/{algo['weighting']!r}"
-            )
-        try:
-            algorithm = AlgorithmConfig(
-                kind=algo["kind"],
-                prox_mu=_as_finite_float(algo["prox_mu"], "prox_mu"),
-                ditto_lambda=_as_finite_float(algo["ditto_lambda"], "ditto_lambda"),
-                weighting=algo["weighting"],
-            )
-        except FedkitError as exc:
-            raise ProtocolError(f"algorithm echo invalid: {exc}") from exc
-        return TaskAssignment(
-            params=_params_from_json(body["params"], "task params"), algorithm=algorithm
-        )
-    if kind == "update_submission":
-        _expect_keys(body, {"params", "sample_count", "train_seconds"}, "update body")
-        try:
-            return ModelUpdate(
-                client_id=client_id,
-                round=round_index,
-                params=_params_from_json(body["params"], "update params"),
-                sample_count=_as_int(body["sample_count"], "sample_count"),
-                train_seconds=_as_finite_float(body["train_seconds"], "train_seconds"),
-            )
-        except FedkitError as exc:
-            raise ProtocolError(f"update body invalid: {exc}") from exc
-    _expect_keys(body, {"reason"}, "abort body")
-    if not isinstance(body["reason"], str):
-        raise ProtocolError("abort reason must be a string")
-    return Abort(reason=body["reason"])
+
+    def fail(key: str, why: str) -> ProtocolError:
+        return ProtocolError(f"{kind} body: {key}: {why}" if key else f"{kind} body: {why}")
+
+    if cls is ModelUpdate:
+        return from_json(cls, body, fail, round=round_index, client_id=client_id)
+    if cls is TaskAssignment:
+        _expect_keys(body["algorithm"], _ALGORITHM_KEYS, f"{kind} body: algorithm")
+    return from_json(cls, body, fail)
 
 
 def _decode_payload(payload: bytes) -> Message:
     try:
         document = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers too long to
+        # parse; RecursionError, arrays nested too deep.
         raise ProtocolError(f"malformed payload: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ProtocolError("payload must be a JSON object")
-    _expect_keys(document, {"kind", "round", "client_id", "body"}, "envelope")
+    _expect_keys(document, _ENVELOPE_KEYS, "envelope")
     kind = document["kind"]
     if kind not in MESSAGE_KINDS:
         raise ProtocolError(f"unknown message kind {kind!r}")
-    round_index = _as_int(document["round"], "round")
-    if round_index < 0:
-        raise ProtocolError(f"round must be non-negative, got {round_index}")
+    round_index = document["round"]
+    if type(round_index) is not int or round_index < 0:
+        raise ProtocolError(f"round must be a non-negative integer, got {round_index!r}")
     client_id = document["client_id"]
-    if not isinstance(client_id, str):
-        raise ProtocolError("client_id must be a string")
     body = _body_from_json(kind, round_index, client_id, document["body"])
-    try:
-        return Message(kind=kind, round=round_index, client_id=client_id, body=body)
-    except FedkitError as exc:
-        raise ProtocolError(str(exc)) from exc
+    # Message checks the client id.
+    return Message(kind=kind, round=round_index, client_id=client_id, body=body)
 
 
 def decode(frame: bytes) -> Message:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import queue
 import socket
@@ -134,6 +135,9 @@ class FederationConfig:
             raise ConfigError(
                 f"round_timeout_seconds must be positive or null, got {self.round_timeout_seconds}"
             )
+        if self.round_timeout_seconds is not None and not math.isfinite(self.round_timeout_seconds):
+            # A NaN timeout never fires; an infinite one is what null means.
+            raise ConfigError(f"round_timeout_seconds must be finite, got {self.round_timeout_seconds}")
 
     @property
     def site_names(self) -> list:
@@ -245,7 +249,6 @@ class RoundState:
     global_params: ParameterVector
     received: dict = field(default_factory=dict)  # site -> ModelUpdate
     pending: set = field(default_factory=set)
-    started_at: float = 0.0
     per_client_times: dict = field(default_factory=dict)
     arrivals: dict = field(default_factory=dict)
     dropped: set = field(default_factory=set)
@@ -355,10 +358,6 @@ class FederationCoordinator:
         return self._state
 
     @property
-    def connected_sites(self) -> set:
-        return set(self._connected)
-
-    @property
     def config_digest(self) -> str:
         return self._cfg_hash
 
@@ -453,7 +452,6 @@ class FederationCoordinator:
             round=self._round,
             global_params=self._global,
             pending=set(participants),
-            started_at=now,
         )
         self._phase = "collecting"
         cmds = [

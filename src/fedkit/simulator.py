@@ -101,6 +101,10 @@ class SimScenario:
             raise ConfigError(
                 f"aggregation_cost_seconds must be >= 0, got {self.aggregation_cost_seconds}"
             )
+        for key in ("base_round_cost_seconds", "aggregation_cost_seconds"):
+            # Non-finite costs would put the virtual clock at inf or NaN.
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         faults = tuple(self.faults)
         for fault in faults:
             if fault.at_round >= self.federation.rounds:

@@ -5,6 +5,7 @@ import threading
 
 
 from fedkit.cli import main
+from fedkit.metrics import report_from_dict, report_to_dict
 
 SITES = ("basel", "freiburg", "strasbourg")
 
@@ -208,6 +209,33 @@ class TestSimulateCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"sites": [], "rounds": 1}))
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def edit_scenario(self, path, simulator, **top):
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc.update(top)
+        doc["simulator"].update(simulator)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+
+    def test_infinite_aggregation_cost_exits_2_naming_key(self, tmp_path, capsys):
+        path = self.write_scenario(tmp_path, "inf_cost", {})
+        self.edit_scenario(path, {"aggregation_cost_seconds": float("inf")})
+        assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+        assert "aggregation_cost_seconds" in capsys.readouterr().err
+
+    def test_written_report_loads_back(self, tmp_path):
+        faults = [{"at_round": 1, "target": "basel", "kind": "disconnect", "downtime_seconds": 5.0}]
+        path = self.write_scenario(tmp_path, "rt", {"basel": 2.0}, rounds=3, faults=faults)
+        self.edit_scenario(
+            path, {"local_baseline": True}, algorithm={"kind": "ditto", "ditto_lambda": 0.5}
+        )
+        assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "rt" / "report.json").read_text())
+        extras = {"diagnosis", "reconnects", "virtual_seconds", "local_cross", "personal_models"}
+        assert extras <= set(doc)
+        again = report_to_dict(report_from_dict(doc))
+        assert again == {key: value for key, value in doc.items() if key not in extras}
 
 
 class TestReportCommand:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -150,6 +151,25 @@ class TestParseConfig:
             parse(minimal_config(**overrides))
         pattern = rf"cfg\.json:\d+: {re.escape(key)}: invalid value: expected {expected}, got {got}"
         assert re.fullmatch(pattern, str(info.value))
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"round_timeout_seconds": math.nan}, "round_timeout_seconds"),
+            ({"round_timeout_seconds": math.inf}, "round_timeout_seconds"),
+            ({"simulator": {"aggregation_cost_seconds": math.inf}}, "aggregation_cost_seconds"),
+            ({"simulator": {"aggregation_cost_seconds": math.nan}}, "aggregation_cost_seconds"),
+            ({"simulator": {"base_round_cost_seconds": math.inf}}, "base_round_cost_seconds"),
+        ],
+    )
+    def test_non_finite_float_rejected_naming_key(self, overrides, key):
+        with pytest.raises(ConfigError, match=key):
+            parse(minimal_config(**overrides))
+
+    def test_infinite_downtime_still_loads(self):
+        fault = {"at_round": 1, "target": "a", "downtime_seconds": math.inf}
+        scenario = parse(minimal_config(simulator={"faults": [fault]})).scenario
+        assert scenario.faults[0].downtime_seconds == math.inf
 
 
 def readme_example():

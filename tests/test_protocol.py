@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -205,3 +206,203 @@ class TestRoundTripProperty:
             got.extend(decoder.feed(stream[i : i + 1]))
         assert got == messages
         assert decoder.pending_bytes == 0
+
+
+# One fixed message of each kind, and the sha256 of its frame. The digests
+# pin the wire bytes: any codec change that alters a frame fails here.
+GOLDEN = [
+    Message("join_request", 0, "basel"),
+    Message("join_ack", 2, "basel", JoinAck(accepted=True, current_round=2, reason="")),
+    Message(
+        "task_assignment",
+        3,
+        "freiburg",
+        TaskAssignment(
+            params=ParameterVector([0.1, -2.5, 1e-17]),
+            algorithm=AlgorithmConfig(kind="fedprox", prox_mu=0.25),
+        ),
+    ),
+    Message(
+        "update_submission",
+        3,
+        "strasbourg",
+        ModelUpdate(
+            "strasbourg", 3, ParameterVector([1.5, -0.0, 3e-300, 123456.789]), 24, train_seconds=0.125
+        ),
+    ),
+    Message("heartbeat", 4, "basel"),
+    Message("experiment_done", 5, "basel"),
+    Message("abort", 1, "söder-site", Abort(reason="quorum lost in round 1")),
+]
+GOLDEN_SHA256 = {
+    "join_request": "adaaad1b2427486174b62762f6a1486d23e5819f53785b4083528b248d4996e2",
+    "join_ack": "098070f414b689668f1b0ebb92a04df79ccd6bd13e3bb475e8e4ed47f4900107",
+    "task_assignment": "c0d0b8158e41fdceb0f6fa2947f7036f965d172e16cf95057a5e0c7dddbeeda4",
+    "update_submission": "a6a7c2fb647f221ffe506aa4651cd7b3730d4c810e83d6599b116069115d259a",
+    "heartbeat": "b371711b896960d25c0400572d9e0b36c89a72d1fb2cdd440ca6f9aa79915964",
+    "experiment_done": "f84ca3940bef7e867cd1fdd1a7befe82209c395ead9301a2eb5858c7f66551d1",
+    "abort": "e96b611e6f48afdc8903fe8ca429ed7789d957773ed2b6b511ff8270f727ab3c",
+}
+
+
+class TestGoldenFrames:
+    @pytest.mark.parametrize("msg", GOLDEN, ids=[m.kind for m in GOLDEN])
+    def test_frame_digest(self, msg):
+        frame = encode(msg)
+        assert hashlib.sha256(frame).hexdigest() == GOLDEN_SHA256[msg.kind]
+        assert decode(frame) == msg
+
+
+def frame_of(document) -> bytes:
+    payload = json.dumps(document).encode()
+    return len(payload).to_bytes(4, "big") + payload
+
+
+def feed_in_chunks(stream: bytes, sizes) -> list:
+    decoder = FrameDecoder()
+    got, start, turn = [], 0, 0
+    while start < len(stream):
+        size = sizes[turn % len(sizes)]
+        got.extend(decoder.feed(stream[start : start + size]))
+        start, turn = start + size, turn + 1
+    return got
+
+
+GOLDEN_STREAM = b"".join(encode(m) for m in GOLDEN)
+
+
+class TestDecoderFuzz:
+    """Whatever bytes arrive, a decoder yields messages or raises
+    ProtocolError, the one error a connection reader handles."""
+
+    @given(
+        st.lists(st.tuples(st.integers(0, len(GOLDEN_STREAM)), st.sampled_from("rdi"),
+                           st.integers(0, 255)), max_size=8),
+        st.lists(st.integers(1, 64), min_size=1, max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_corrupted_stream(self, edits, sizes):
+        stream = bytearray(GOLDEN_STREAM)
+        for position, op, byte in edits:
+            position = min(position, len(stream) - 1)
+            if op == "r":
+                stream[position] = byte
+            elif op == "d":
+                del stream[position]
+            else:
+                stream.insert(position, byte)
+        try:
+            got = feed_in_chunks(bytes(stream), sizes)
+        except ProtocolError:
+            return
+        assert all(isinstance(m, Message) for m in got)
+
+    @given(st.binary(max_size=256), st.lists(st.integers(1, 64), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, stream, sizes):
+        try:
+            feed_in_chunks(stream, sizes)
+        except ProtocolError:
+            pass
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"body":{"params":[1' + b"0" * 400 + b'],"sample_count":1,"train_seconds":0.0},'
+            b'"client_id":"c","kind":"update_submission","round":0}',
+            b'{"body":{"params":[1.0],"sample_count":1,"train_seconds":1' + b"0" * 400 + b"},"
+            b'"client_id":"c","kind":"update_submission","round":0}',
+            b'{"body":{},"client_id":"c","kind":"heartbeat","round":' + b"1" * 5000 + b"}",
+            b"[" * 100_000,
+        ],
+        ids=["huge-param", "huge-train-seconds", "overlong-integer", "deep-nesting"],
+    )
+    def test_hostile_payloads(self, payload):
+        with pytest.raises(ProtocolError):
+            FrameDecoder().feed(len(payload).to_bytes(4, "big") + payload)
+
+
+# The JSON type of every body key of each kind, as paths into the body.
+WIRE_TYPES = {
+    "join_ack": {("accepted",): "boolean", ("current_round",): "integer", ("reason",): "string"},
+    "task_assignment": {
+        ("params",): "array",
+        ("params", 0): "number",
+        ("algorithm",): "object",
+        ("algorithm", "kind"): "string",
+        ("algorithm", "prox_mu"): "number",
+        ("algorithm", "ditto_lambda"): "number",
+        ("algorithm", "weighting"): "string",
+    },
+    "update_submission": {
+        ("params",): "array",
+        ("params", 0): "number",
+        ("sample_count",): "integer",
+        ("train_seconds",): "number",
+    },
+    "abort": {("reason",): "string"},
+}
+BODY_PATHS = [(kind, path) for kind, paths in WIRE_TYPES.items() for path in paths]
+OBJECT_PATHS = [(m.kind, ()) for m in GOLDEN] + [("task_assignment", ("algorithm",))]
+
+
+def case_ids(cases) -> list:
+    return [f"{kind}:{'.'.join(map(str, path)) or 'body'}" for kind, path in cases]
+JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
+              list: "array", dict: "object", type(None): "null"}
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def golden_document(kind: str) -> dict:
+    msg = next(m for m in GOLDEN if m.kind == kind)
+    return json.loads(encode(msg)[4:])
+
+
+def body_at(document: dict, path: tuple):
+    node = document["body"]
+    for key in path:
+        node = node[key]
+    return node
+
+
+class TestBodyMutations:
+    """Every body key is required, no other key is allowed, and each key
+    takes one JSON type; anything else is a ProtocolError naming the key."""
+
+    KEY_PATHS = [c for c in BODY_PATHS if c[1][-1] != 0]
+
+    @pytest.mark.parametrize("kind, path", KEY_PATHS, ids=case_ids(KEY_PATHS))
+    def test_dropped_key(self, kind, path):
+        document = golden_document(kind)
+        del body_at(document, path[:-1])[path[-1]]
+        with pytest.raises(ProtocolError, match=path[-1]):
+            decode(frame_of(document))
+
+    @pytest.mark.parametrize("kind, path", OBJECT_PATHS, ids=case_ids(OBJECT_PATHS))
+    @given(key=st.text(max_size=8), value=json_values)
+    @settings(max_examples=20, deadline=None)
+    def test_added_key(self, kind, path, key, value):
+        document = golden_document(kind)
+        target = body_at(document, path)
+        if key in target:
+            key += "_extra"
+        target[key] = value
+        with pytest.raises(ProtocolError):
+            decode(frame_of(document))
+
+    @pytest.mark.parametrize("kind, path", BODY_PATHS, ids=case_ids(BODY_PATHS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_wrong_json_type(self, kind, path, data):
+        want = WIRE_TYPES[kind][path]
+        accepted = {"integer", "number"} if want == "number" else {want}
+        value = data.draw(json_values.filter(lambda v: JSON_TYPES[type(v)] not in accepted))
+        document = golden_document(kind)
+        body_at(document, path[:-1])[path[-1]] = value
+        key = [part for part in path if isinstance(part, str)][-1]
+        with pytest.raises(ProtocolError, match=key):
+            decode(frame_of(document))
