@@ -8,6 +8,7 @@ server path is identical for all three algorithms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,9 +39,9 @@ class AlgorithmConfig:
             raise ConfigError(f"unknown algorithm kind {self.kind!r}; expected one of {ALGORITHM_KINDS}")
         if self.weighting not in WEIGHTINGS:
             raise ConfigError(f"unknown weighting {self.weighting!r}; expected one of {WEIGHTINGS}")
-        if not np.isfinite(self.prox_mu) or self.prox_mu < 0:
+        if not math.isfinite(self.prox_mu) or self.prox_mu < 0:
             raise ConfigError(f"prox_mu must be finite and >= 0, got {self.prox_mu}")
-        if not np.isfinite(self.ditto_lambda) or self.ditto_lambda < 0:
+        if not math.isfinite(self.ditto_lambda) or self.ditto_lambda < 0:
             raise ConfigError(f"ditto_lambda must be finite and >= 0, got {self.ditto_lambda}")
         if self.kind == "fedavg" and (self.prox_mu != 0.0 or self.ditto_lambda != 0.0):
             raise ConfigError("fedavg ignores prox_mu/ditto_lambda; store them as 0")
@@ -101,7 +102,7 @@ def proximal_loss_gradient(
         raise DimensionError(
             f"dim mismatch: grad {local_grad.dim}, w {w.dim}, w_global {w_global.dim}"
         )
-    if not np.isfinite(mu) or mu < 0:
+    if not math.isfinite(mu) or mu < 0:
         raise ConfigError(f"mu must be finite and >= 0, got {mu}")
     if mu == 0.0:
         return local_grad
@@ -124,8 +125,8 @@ def ditto_personal_step(
         raise DimensionError(
             f"dim mismatch: v {v.dim}, grad {local_grad_at_v.dim}, w_global {w_global.dim}"
         )
-    if not np.isfinite(lam) or lam < 0:
+    if not math.isfinite(lam) or lam < 0:
         raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
-    if not np.isfinite(lr) or lr <= 0:
+    if not math.isfinite(lr) or lr <= 0:
         raise ConfigError(f"lr must be finite and > 0, got {lr}")
     return ParameterVector(_ditto_step_values(v.values, local_grad_at_v.values, w_global.values, lam, lr))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import collections.abc
 import dataclasses
 import functools
+import math
 import types
 import typing
 from dataclasses import dataclass
@@ -20,6 +21,18 @@ import numpy as np
 from .errors import DimensionError, DomainError, FedkitError, NumericError
 
 EVAL_METRICS = ("dice", "mse_loss")
+
+
+# Up to this many entries, all_finite checks them as Python floats: on a
+# few entries numpy's per-call cost outweighs its loop.
+_SMALL = 32
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of a float array is finite."""
+    if arr.size <= _SMALL:
+        return all(map(math.isfinite, arr.tolist()))
+    return bool(np.isfinite(arr).all())
 
 
 def _as_readonly_f64(values) -> np.ndarray:
@@ -40,7 +53,7 @@ class ParameterVector:
             raise DimensionError(f"parameter vector must be 1-D, got shape {arr.shape}")
         if arr.size == 0:
             raise DimensionError("parameter vector must have at least one element")
-        if not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise NumericError("parameter vector contains non-finite values")
         object.__setattr__(self, "values", arr)
 
@@ -84,7 +97,7 @@ class ModelUpdate:
             raise DomainError(f"round must be non-negative, got {self.round}")
         if self.sample_count < 1:
             raise DomainError(f"sample_count must be >= 1, got {self.sample_count}")
-        if not np.isfinite(self.train_seconds) or self.train_seconds < 0:
+        if not math.isfinite(self.train_seconds) or self.train_seconds < 0:
             raise NumericError(f"train_seconds must be finite and >= 0, got {self.train_seconds}")
 
 
@@ -99,7 +112,7 @@ class EvalScore:
     def __post_init__(self):
         if self.metric not in EVAL_METRICS:
             raise DomainError(f"unknown metric {self.metric!r}; expected one of {EVAL_METRICS}")
-        if not np.isfinite(self.mean) or not np.isfinite(self.std):
+        if not math.isfinite(self.mean) or not math.isfinite(self.std):
             raise NumericError("score mean/std must be finite")
         if self.std < 0:
             raise DomainError(f"std must be non-negative, got {self.std}")
@@ -113,7 +126,7 @@ def add_scaled(a: ParameterVector, b: ParameterVector, coeff: float) -> Paramete
         raise DimensionError(f"dim mismatch: {a.dim} vs {b.dim}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = a.values + coeff * b.values
-    if not np.all(np.isfinite(out)):
+    if not all_finite(out):
         raise NumericError("add_scaled produced a non-finite result")
     return ParameterVector(out)
 

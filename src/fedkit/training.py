@@ -13,10 +13,11 @@ Two desk-scale tasks stand in for the heavyweight imaging workloads:
 
 Site data is a pure function of (seed, site index, train or val), and the
 order of draws from each site's random stream is part of that contract.
-A segmentation draw takes, per image and in image order, the blob center,
-then the 64 intensity-noise normals, then the 64 label-noise normals (only
-when ``noise_std > 0``); a least-squares draw takes the feature matrix,
-then the target noise. The per-site shift comes from a separate stream.
+A segmentation draw takes, per image and in image order, the blob center
+(row, then column), then the 64 intensity-noise normals, then the 64
+label-noise normals (only when ``noise_std > 0``); a least-squares draw
+takes the feature matrix, then the target noise. The per-site shift comes
+from a separate stream.
 
 Training is full-batch, deterministic gradient descent only; every
 equivalence property in the test suite relies on exact oracle comparison,
@@ -25,14 +26,15 @@ which stochastic minibatching would turn into statistical tolerances.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .aggregation import AlgorithmConfig, _ditto_step_values, _prox_grad_values
-from .errors import ConfigError, DimensionError, NumericError
-from .params import EvalScore, ModelUpdate, ParameterVector, dice_score
+from .errors import ConfigError, DimensionError, DomainError, NumericError
+from .params import EvalScore, ModelUpdate, ParameterVector, all_finite
 
 TRAINER_KINDS = ("least_squares", "synthetic_segmentation")
 
@@ -61,7 +63,7 @@ class TrainerConfig:
     def __post_init__(self):
         if self.trainer not in TRAINER_KINDS:
             raise ConfigError(f"unknown trainer {self.trainer!r}; expected one of {TRAINER_KINDS}")
-        if not np.isfinite(self.lr) or self.lr <= 0:
+        if not math.isfinite(self.lr) or self.lr <= 0:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.local_steps < 1:
             raise ConfigError(f"local_steps must be >= 1, got {self.local_steps}")
@@ -90,16 +92,16 @@ class HeterogeneityConfig:
         base = tuple(float(v) for v in self.base_optimum)
         if len(base) == 0:
             raise ConfigError("base_optimum must be non-empty")
-        if not all(np.isfinite(v) for v in base):
+        if not all(math.isfinite(v) for v in base):
             raise ConfigError("base_optimum must be finite")
         object.__setattr__(self, "base_optimum", base)
-        if not np.isfinite(self.shift_scale) or self.shift_scale < 0:
+        if not math.isfinite(self.shift_scale) or self.shift_scale < 0:
             raise ConfigError(f"shift_scale must be finite and >= 0, got {self.shift_scale}")
-        if not np.isfinite(self.noise_std) or self.noise_std < 0:
+        if not math.isfinite(self.noise_std) or self.noise_std < 0:
             raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.samples_per_site < 1:
             raise ConfigError(f"samples_per_site must be >= 1, got {self.samples_per_site}")
-        if not np.isfinite(self.fraction) or not 0.0 < self.fraction <= 1.0:
+        if not math.isfinite(self.fraction) or not 0.0 < self.fraction <= 1.0:
             raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction}")
 
 
@@ -215,7 +217,8 @@ def generate_site_data(
     intensity_noise = np.empty((n, PIXELS))
     label_noise = np.empty((n, PIXELS)) if hcfg.noise_std > 0 else None
     for i in range(n):
-        centers[i] = rng.integers(0, IMAGE_SIDE, size=2)
+        centers[i, 0] = rng.integers(0, IMAGE_SIDE)
+        centers[i, 1] = rng.integers(0, IMAGE_SIDE)
         rng.standard_normal(out=intensity_noise[i])
         if label_noise is not None:
             rng.standard_normal(out=label_noise[i])
@@ -240,19 +243,21 @@ def _pixel_matrix(data: ClientDataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grad_values(w: np.ndarray, data: ClientDataset, tcfg: TrainerConfig) -> np.ndarray:
+    # ndarray.dot makes the same BLAS call as @ with less dispatch, so the
+    # products are bit-identical; this kernel runs local_steps times a round.
     if tcfg.trainer == "least_squares":
         x, y = data.features, data.targets
-        residual = x @ w - y
-        return x.T @ residual / y.size
+        residual = x.dot(w) - y
+        return x.T.dot(residual) / y.size
     x, y = _pixel_matrix(data)
     # sigmoid(x @ w) - y, in place in the product's buffer
-    r = x @ w
+    r = x.dot(w)
     np.negative(r, out=r)
     np.exp(r, out=r)
     r += 1.0
-    np.divide(1.0, r, out=r)
+    np.reciprocal(r, out=r)
     r -= y
-    return x.T @ r / y.size
+    return x.T.dot(r) / y.size
 
 
 def _check_dims(start: ParameterVector, data: ClientDataset, tcfg: TrainerConfig) -> None:
@@ -306,7 +311,7 @@ def local_train(
             if acfg.kind == "fedprox":
                 g = _prox_grad_values(g, w, wg, acfg.prox_mu)
             w = w - tcfg.lr * g
-            if not np.all(np.isfinite(w)):
+            if not all_finite(w):
                 raise NumericError(f"training diverged: non-finite parameters at step {step}")
     return ModelUpdate(
         client_id=client_id,
@@ -336,7 +341,7 @@ def ditto_personal_round(
         for step in range(tcfg.local_steps):
             g = _grad_values(out, data, tcfg)
             out = _ditto_step_values(out, g, wg, lam, tcfg.lr)
-            if not np.all(np.isfinite(out)):
+            if not all_finite(out):
                 raise NumericError(f"personal track diverged: non-finite parameters at step {step}")
     return ParameterVector(out)
 
@@ -376,11 +381,16 @@ def evaluate(params: ParameterVector, data: ClientDataset, metric: str) -> EvalS
         if params.dim != PIXEL_FEATURES:
             raise DimensionError(f"parameter dim {params.dim} does not match trainer dim {PIXEL_FEATURES}")
         x = data.features.reshape(data.n_samples, PIXELS, PIXEL_FEATURES)
-        logits = x @ params.values
-        predictions = (logits > 0).astype(np.float64)  # sigmoid(z) > 0.5 iff z > 0
-        scores = np.array(
-            [dice_score(predictions[i], data.targets[i]) for i in range(data.n_samples)]
-        )
+        targets = data.targets
+        if not ((targets == 0) | (targets == 1)).all():
+            raise DomainError("truth mask contains non-binary entries")
+        # dice_score of each image at once: 2*|A∩B| / (|A|+|B|), and 1.0 for
+        # two empty masks. Pixel counts are small integers, exact as floats.
+        predicted = (x @ params.values > 0).astype(np.float64)  # sigmoid(z) > 0.5 iff z > 0
+        ones = np.ones(PIXELS)
+        sizes = (predicted + targets) @ ones
+        intersections = (predicted * targets) @ ones
+        scores = np.where(sizes > 0, 2 * intersections / np.maximum(sizes, 1.0), 1.0)
         return EvalScore(mean=float(scores.mean()), std=float(scores.std()), metric="dice")
     raise ConfigError(f"unknown metric {metric!r}")
 

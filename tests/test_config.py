@@ -166,6 +166,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=key):
             parse(minimal_config(**overrides))
 
+    def test_huge_integer_in_float_field_loads(self):
+        doc = parse(minimal_config(trainer={"lr": 2**64},
+                                   algorithm={"kind": "fedprox", "prox_mu": 2**64}))
+        assert doc.federation.trainer.lr == 2**64
+        assert doc.federation.algorithm.prox_mu == 2**64
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"trainer": {"lr": 10**400}}, "trainer"),
+            ({"algorithm": {"kind": "fedprox", "prox_mu": 10**400}}, "algorithm"),
+            ({"heterogeneity": {"base_optimum": [10**400, 1.0]}}, "heterogeneity"),
+            ({"simulator": {"aggregation_cost_seconds": 10**400}}, "simulator"),
+        ],
+    )
+    def test_integer_beyond_float_range_is_config_error(self, overrides, key):
+        with pytest.raises(ConfigError, match=key) as info:
+            parse(minimal_config(**overrides))
+        assert "ufunc" not in str(info.value)
+
     def test_infinite_downtime_still_loads(self):
         fault = {"at_round": 1, "target": "a", "downtime_seconds": math.inf}
         scenario = parse(minimal_config(simulator={"faults": [fault]})).scenario

@@ -14,6 +14,7 @@ from fedkit import (
     dice_score,
     l2_distance,
 )
+from fedkit.params import all_finite
 
 
 def brute_force_dice(a, b):
@@ -51,6 +52,25 @@ class TestParameterVector:
     def test_equality_is_bitwise(self):
         assert ParameterVector([1.0, 2.0]) == ParameterVector([1.0, 2.0])
         assert ParameterVector([1.0, 2.0]) != ParameterVector([1.0, 2.0 + 1e-15])
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 1000])
+    def test_matches_numpy_on_both_sides_of_the_small_path(self, size):
+        rng = np.random.default_rng(size)
+        values = rng.standard_normal(size) * 1e300
+        assert all_finite(values)
+        for bad in (np.nan, np.inf, -np.inf):
+            for index in {0, size // 2, size - 1}:
+                arr = values.copy()
+                arr[index] = bad
+                assert not all_finite(arr)
+                with pytest.raises(NumericError):
+                    ParameterVector(arr)
+
+    def test_extremes_are_finite(self):
+        big = np.finfo(np.float64).max
+        assert all_finite(np.array([big, -big, 5e-324, -0.0]))
 
 
 class TestModelUpdate:

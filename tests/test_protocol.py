@@ -406,3 +406,46 @@ class TestBodyMutations:
         key = [part for part in path if isinstance(part, str)][-1]
         with pytest.raises(ProtocolError, match=key):
             decode(frame_of(document))
+
+
+class TestLargeIntegers:
+    """A float body field takes any JSON integer that fits a float; one
+    beyond float range is a ProtocolError, and no message quotes numpy."""
+
+    def test_update_with_huge_train_seconds_round_trips(self):
+        update = ModelUpdate("c", 1, ParameterVector([1.0, -2.0]), 3, train_seconds=2**64)
+        msg = Message("update_submission", 1, "c", update)
+        again = decode(encode(msg))
+        assert again == msg
+        assert again.body.train_seconds == 2**64
+        document = golden_document("update_submission")
+        document["body"]["train_seconds"] = 2**64
+        assert decode(frame_of(document)).body.train_seconds == 2**64
+
+    def test_fedprox_task_with_huge_prox_mu_round_trips(self):
+        task = TaskAssignment(params=ParameterVector([0.5]),
+                              algorithm=AlgorithmConfig(kind="fedprox", prox_mu=2**64))
+        msg = Message("task_assignment", 2, "c", task)
+        again = decode(encode(msg))
+        assert again == msg
+        assert again.body.algorithm.prox_mu == 2**64
+
+    @pytest.mark.parametrize("value", [2**64, 2**1023, 10**400, -(2**64)],
+                             ids=["2^64", "2^1023", "10^400", "-2^64"])
+    @pytest.mark.parametrize("kind, path", [
+        ("update_submission", ("train_seconds",)),
+        ("task_assignment", ("algorithm", "prox_mu")),
+        ("task_assignment", ("algorithm", "ditto_lambda")),
+    ])
+    def test_errors_never_quote_numpy(self, kind, path, value):
+        document = golden_document(kind)
+        body_at(document, path[:-1])[path[-1]] = value
+        if path[-1] == "ditto_lambda":
+            document["body"]["algorithm"]["kind"] = "ditto"
+            document["body"]["algorithm"]["prox_mu"] = 0.0
+        if 0 < value < 2**1024:  # a finite float: accepted
+            decode(frame_of(document))
+            return
+        with pytest.raises(ProtocolError) as info:
+            decode(frame_of(document))
+        assert "ufunc" not in str(info.value)

@@ -5,12 +5,15 @@ import pytest
 
 from fedkit import (
     AlgorithmConfig,
+    ClientDataset,
     ConfigError,
     DimensionError,
+    DomainError,
     HeterogeneityConfig,
     NumericError,
     ParameterVector,
     TrainerConfig,
+    dice_score,
     evaluate,
     federated_average,
     generate_site_data,
@@ -314,6 +317,35 @@ class TestEvaluate:
         data = generate_site_data(h, 0, seed=2)
         with pytest.raises(ConfigError):
             evaluate(ParameterVector([1.0, 1.0]), data, "dice")
+
+    def test_dice_equals_per_image_dice_score_bitwise(self):
+        # The vectorized Dice must score each image exactly as dice_score does.
+        h = HeterogeneityConfig(base_optimum=[4.0, -2.0], shift_scale=0.5, noise_std=0.3,
+                                samples_per_site=16)
+        data = generate_site_data(h, 2, seed=21, task="synthetic_segmentation", role="val")
+        # Image 0 gets two empty masks (w = [0, -1] predicts nothing); image 1
+        # only an empty truth mask.
+        targets = data.targets.copy()
+        targets[0:2] = 0.0
+        data = ClientDataset(data.features, targets, data.site_shift)
+        for w in ([0.0, -1.0], [4.0, -2.0], [0.0, 0.0], [1.0, -0.4], [-3.0, 1.0]):
+            params = ParameterVector(w)
+            x = data.features.reshape(data.n_samples, PIXELS, 2)
+            predictions = (x @ params.values > 0).astype(np.float64)
+            scores = np.array([dice_score(predictions[i], targets[i])
+                               for i in range(data.n_samples)])
+            got = evaluate(params, data, "dice")
+            assert (got.mean, got.std) == (float(scores.mean()), float(scores.std()))
+        assert dice_score(np.zeros(PIXELS), targets[0]) == 1.0
+
+    def test_dice_rejects_non_binary_target(self):
+        h = HeterogeneityConfig(base_optimum=[4.0, -2.0], samples_per_site=4)
+        data = generate_site_data(h, 0, seed=3, task="synthetic_segmentation")
+        targets = data.targets.copy()
+        targets[3, 7] = 0.5
+        data = ClientDataset(data.features, targets, data.site_shift)
+        with pytest.raises(DomainError, match="non-binary"):
+            evaluate(ParameterVector([4.0, -2.0]), data, "dice")
 
     def test_metric_for(self):
         assert metric_for(TrainerConfig()) == "mse_loss"
