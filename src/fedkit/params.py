@@ -24,8 +24,11 @@ EVAL_METRICS = ("dice", "mse_loss")
 
 
 # Up to this many entries, all_finite checks them as Python floats: on a
-# few entries numpy's per-call cost outweighs its loop.
-_SMALL = 32
+# few entries numpy's per-call cost (~2 µs) outweighs its loop. The two
+# checks cost the same at 48-56 entries (Python 3.11, numpy 2.4, one x86-64
+# vCPU: the float loop was faster in 11 of 15 interleaved trials at 48
+# entries, in 4 of 15 at 56, in none at 64).
+_SMALL = 48
 
 
 def all_finite(arr: np.ndarray) -> bool:

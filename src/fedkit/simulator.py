@@ -374,10 +374,7 @@ class _Simulation:
         self.connect_events = 0
         self.finished: Optional[tuple] = None  # (status, reason)
         self.last_progress = 0.0
-        # Pending faults by (target, round), each list in schedule order.
-        self.pending_faults: dict = {}
-        for fault in scenario.faults:
-            self.pending_faults.setdefault((fault.target, fault.at_round), []).append(fault)
+        self.pending_faults = list(scenario.faults)
         self.server = _SimServer(self)
         self.clients = [
             _SimClient(self, spec.name, index) for index, spec in enumerate(self.cfg.sites)
@@ -396,41 +393,33 @@ class _Simulation:
 
     # -- faults
 
-    def _pop_fault(self, target: str, round_index: int) -> Optional[FaultEvent]:
-        """Take the first pending fault, in schedule order, for target and round."""
-        key = (target, round_index)
-        queue = self.pending_faults.get(key)
-        if queue is None:
-            return None
-        fault = queue.pop(0)
-        if not queue:
-            del self.pending_faults[key]
-        return fault
-
     def check_server_faults(self) -> None:
         coord = self.server.coordinator
         if coord is None or coord.phase != "collecting":
             return
-        fault = self._pop_fault(FAULT_TARGET_SERVER, coord.current_round)
-        if fault is not None:
-            self.server.crash(fault.downtime_seconds)
+        for fault in list(self.pending_faults):
+            if fault.target == FAULT_TARGET_SERVER and fault.at_round == coord.current_round:
+                self.pending_faults.remove(fault)
+                self.server.crash(fault.downtime_seconds)
+                return
 
     def intercept_task_fault(self, client: _SimClient, msg: Message) -> bool:
         """Fire a client fault when its round's task reaches the client.
 
         Returns True when the task must not be processed (crash semantics).
         """
-        fault = self._pop_fault(client.site, msg.round)
-        if fault is None:
-            return False
-        if fault.kind == "crash":
-            client.process_crash(fault.downtime_seconds)
-            return True
-        # disconnect: the task lands, training proceeds offline, and
-        # the finished update is held for resubmission after rejoin.
-        client._run(client.session.on_message(msg))
-        client.drop_connection(fault.downtime_seconds)
-        return True
+        for fault in list(self.pending_faults):
+            if fault.target == client.site and fault.at_round == msg.round:
+                self.pending_faults.remove(fault)
+                if fault.kind == "crash":
+                    client.process_crash(fault.downtime_seconds)
+                    return True
+                # disconnect: the task lands, training proceeds offline, and
+                # the finished update is held for resubmission after rejoin.
+                client._run(client.session.on_message(msg))
+                client.drop_connection(fault.downtime_seconds)
+                return True
+        return False
 
     # -- progress
 

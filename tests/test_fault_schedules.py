@@ -99,8 +99,8 @@ def test_any_quorum_preserving_schedule_is_transparent(checkpoints, fault_free, 
 
 
 # Two faults at each of three (target, round) keys; a key's faults fire in
-# schedule order. The digests were computed before the pending faults were
-# indexed by key, and the swapped order shows that the order matters.
+# schedule order. The digests pin simulate()'s output for this schedule, and
+# the swapped order shows that the order matters.
 DUPLICATE_FAULTS = (
     FaultEvent(at_round=2, target="b", kind="disconnect", downtime_seconds=40.0),
     FaultEvent(at_round=2, target="b", kind="crash", downtime_seconds=12.0),

@@ -14,7 +14,7 @@ from fedkit import (
     dice_score,
     l2_distance,
 )
-from fedkit.params import all_finite
+from fedkit.params import _SMALL, all_finite
 
 
 def brute_force_dice(a, b):
@@ -55,7 +55,7 @@ class TestParameterVector:
 
 
 class TestAllFinite:
-    @pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 1000])
+    @pytest.mark.parametrize("size", [1, 2, _SMALL - 1, _SMALL, _SMALL + 1, 1000])
     def test_matches_numpy_on_both_sides_of_the_small_path(self, size):
         rng = np.random.default_rng(size)
         values = rng.standard_normal(size) * 1e300
