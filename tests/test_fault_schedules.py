@@ -5,6 +5,7 @@ any such schedule of server crashes, client crashes and disconnects must
 end in the fault-free run's global model, bit for bit. Ditto personal
 models of sites whose process never crashed must match too.
 """
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -126,7 +127,9 @@ def simulation_digest(scenario):
     for params in report.round_globals:
         digest.update(params.values.tobytes())
     for site in sorted(report.personal_models):
-        digest.update(report.personal_models[site].values.tobytes())
+        personal = report.personal_models[site]  # None once a crash lost it
+        if personal is not None:
+            digest.update(personal.values.tobytes())
     digest.update(Path(scenario.federation.checkpoint_path).read_bytes())
     return digest.hexdigest()
 
@@ -136,3 +139,72 @@ def test_duplicate_fault_keys_fire_in_schedule_order(tmp_path):
     for name, faults in (("schedule_order", DUPLICATE_FAULTS), ("first_key_swapped", swapped)):
         scenario = make_scenario(tmp_path, 3, faults, name=name, rounds=6, local_steps=2)
         assert simulation_digest(scenario) == DUPLICATE_DIGESTS[name], name
+
+
+def policy_scenario(directory, name, faults=(), multipliers=None, unexpected=(), **federation):
+    """A 3-site, 6-round ditto scenario under another loss policy, timeout
+    or site list; ``unexpected`` sites may join late."""
+    base = make_scenario(directory, 3, faults, name=name, rounds=6, local_steps=2)
+    sites = tuple(SiteSpec(s, expected=s not in unexpected) for s in SITES[:3])
+    return dataclasses.replace(
+        base,
+        federation=dataclasses.replace(base.federation, sites=sites, **federation),
+        site_multipliers=multipliers or base.site_multipliers,
+    )
+
+
+# Site c trains for 50 s, past the 30-s round timeout, so under
+# continue_without every round drops it and its late update goes stale.
+SLOW_C = {"a": 1.0, "b": 1.7, "c": 5.0}
+CONTINUE = {"on_client_loss": "continue_without", "round_timeout_seconds": 30.0}
+
+POLICY_SCENARIOS = {
+    # b's outage spans the next round's opening, where it is dropped at once.
+    "continue_timeout_drops": dict(
+        multipliers=SLOW_C, min_clients_per_round=1, **CONTINUE,
+        faults=(FaultEvent(at_round=1, target="b", kind="disconnect", downtime_seconds=45.0),),
+    ),
+    # a crashes in round 3; the timeout then drops c and leaves only b.
+    "continue_timeout_below_quorum": dict(
+        multipliers=SLOW_C, min_clients_per_round=2, **CONTINUE,
+        faults=(FaultEvent(at_round=3, target="a", kind="crash", downtime_seconds=100.0),),
+    ),
+    "wait_timeout_aborts": dict(
+        round_timeout_seconds=30.0,
+        faults=(FaultEvent(at_round=2, target="c", kind="disconnect", downtime_seconds=100.0),),
+    ),
+    # c is not expected; it joins once round 0 is open and crashes in round 1.
+    "late_joiner": dict(
+        unexpected=("c",),
+        faults=(FaultEvent(at_round=1, target="c", kind="crash", downtime_seconds=15.0),),
+    ),
+    "ditto_client_faults": dict(
+        faults=(
+            FaultEvent(at_round=1, target="a", kind="crash", downtime_seconds=20.0),
+            FaultEvent(at_round=2, target="b", kind="disconnect", downtime_seconds=30.0),
+            FaultEvent(at_round=3, target="c", kind="crash", downtime_seconds=5.0),
+            FaultEvent(at_round=4, target="a", kind="disconnect", downtime_seconds=12.5),
+        ),
+    ),
+}
+POLICY_STATUS = {
+    "continue_timeout_drops": "completed",
+    "continue_timeout_below_quorum": "aborted",
+    "wait_timeout_aborts": "aborted",
+    "late_joiner": "completed",
+    "ditto_client_faults": "completed",
+}
+POLICY_DIGESTS = {
+    "continue_timeout_drops": "93de149227bd76e0a7b4f4f554a78a840e73cde54c8ea3cf6ba3402620f0fda2",
+    "continue_timeout_below_quorum": "6df7edc6b5e624ed3503796c38b30fbf77235681d07062a26e711fc2f80b2ab1",
+    "wait_timeout_aborts": "b5917f350eee7714f5f011ffb664e028ffab8e93476429723013546165cde25b",
+    "late_joiner": "73da5968243caf8f7c8b128dbe4be8b55c23ce4120e8eb28287ab397e5a8632d",
+    "ditto_client_faults": "77898a880d34f724caad8b61a8d4c91e142b37693ad6aa1ab872dec983b9d2d9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLICY_SCENARIOS))
+def test_policy_scenario_digests(tmp_path, name):
+    scenario = policy_scenario(tmp_path, name, **POLICY_SCENARIOS[name])
+    assert simulate(scenario).status == POLICY_STATUS[name]
+    assert simulation_digest(scenario) == POLICY_DIGESTS[name], name
