@@ -132,37 +132,37 @@ def cmd_report(args) -> int:
     documents = []
     try:
         for directory in args.inputs:
-            doc = metrics.load_report(os.path.join(directory, "report.json"))
-            documents.append((directory, doc))
+            path = os.path.join(directory, "report.json")
+            doc = metrics.load_report(path)
+            totals = None if doc.get("totals") is None else metrics.report_totals(doc, path)
+            documents.append((directory, doc, totals))
     except ReportError as exc:
         _err(str(exc))
         return EXIT_CONFIG
     print("== totals ==")
-    for directory, doc in documents:
+    for directory, doc, totals in documents:
         status = f"{directory}: status {doc.get('status', '?')}"
-        totals = doc.get("totals")
         if totals is None:  # a run that completed no round has no totals
             print(status)
         else:
-            total = totals["train"] + totals["validate"] + totals["aggregate"]
             print(
                 f"{status} | "
-                f"train {totals['train'] / 3600:.2f} hr | "
-                f"aggregate {totals['aggregate'] / 3600:.2f} hr | "
-                f"validate {totals['validate'] / 3600:.2f} hr | "
-                f"total {total / 3600:.2f} hr"
+                f"train {totals.train / 3600:.2f} hr | "
+                f"aggregate {totals.aggregate / 3600:.2f} hr | "
+                f"validate {totals.validate / 3600:.2f} hr | "
+                f"total {totals.total / 3600:.2f} hr"
             )
         if doc.get("diagnosis"):
             print(f"  finding: {doc['diagnosis']}")
     if len(documents) > 1:
         print("== speedup vs first ==")
-        base_dir, base = documents[0]
-        for directory, doc in documents[1:]:
+        base_dir, base, _ = documents[0]
+        for directory, doc, _ in documents[1:]:
             try:
                 print(f"{base_dir} -> {directory}: {speedup(base, doc):.2f}%")
             except ReportError as exc:
                 print(f"{base_dir} -> {directory}: not comparable ({exc})")
-    for directory, doc in documents:
+    for directory, doc, _ in documents:
         if "local_cross" not in doc:
             continue
         print(f"== global vs local ({directory}) ==")

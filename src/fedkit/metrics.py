@@ -220,6 +220,14 @@ def report_from_dict(doc: dict) -> ExperimentReport:
     return from_json(ExperimentReport, fields, lambda key, why: ReportError(f"{key}: {why}"), "report")
 
 
+def report_totals(doc: dict, source: str = "report") -> Totals:
+    """The totals of a report document; a missing or malformed key raises
+    :class:`ReportError` naming it."""
+    return from_json(
+        Totals, doc.get("totals"), lambda key, why: ReportError(f"{source}: {key}: {why}"), "totals"
+    )
+
+
 def save_report(doc: dict, path: str) -> None:
     try:
         with open(path, "w") as fh:
@@ -232,9 +240,12 @@ def save_report(doc: dict, path: str) -> None:
 def load_report(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ReportError(f"cannot load report {path}: {exc}") from exc
+    if type(doc) is not dict:
+        raise ReportError(f"{path}: must be an object, got {type(doc).__name__}")
+    return doc
 
 
 # --- rendering -----------------------------------------------------------------

@@ -249,7 +249,6 @@ class RoundState:
     global_params: ParameterVector
     received: dict = field(default_factory=dict)  # site -> ModelUpdate
     pending: set = field(default_factory=set)
-    per_client_times: dict = field(default_factory=dict)
     arrivals: dict = field(default_factory=dict)
     dropped: set = field(default_factory=set)
 
@@ -264,8 +263,7 @@ def handle_client_loss(state: RoundState, lost: str, cfg: FederationConfig) -> s
     if cfg.on_client_loss == "wait":
         return WAIT
     remaining = set(state.received) | (state.pending - {lost})
-    quorum = cfg.min_clients_per_round if cfg.min_clients_per_round is not None else 1
-    return DROP_FOR_ROUND if len(remaining) >= quorum else ABORT
+    return DROP_FOR_ROUND if len(remaining) >= cfg.min_clients_per_round else ABORT
 
 
 # --- coordinator commands ----------------------------------------------------
@@ -314,7 +312,6 @@ class FederationCoordinator:
         start_round: int = 0,
         start_global: Optional[ParameterVector] = None,
         aggregation_cost: Optional[float] = None,
-        clock=time.perf_counter,
     ):
         if start_round >= cfg.rounds:
             raise ConfigError(
@@ -329,11 +326,9 @@ class FederationCoordinator:
             cfg.trainer, cfg.heterogeneity
         )
         self._agg_cost = aggregation_cost
-        self._clock = clock
         self._cfg_hash = config_hash(cfg)
         self._connected: set = set()
-        self._state: Optional[RoundState] = None
-        self._phase = "waiting"  # waiting | collecting | finished
+        self._state: Optional[RoundState] = None  # set while a round collects
         self.records: list = []
         self.status: Optional[str] = None
         self.abort_reason = ""
@@ -347,7 +342,10 @@ class FederationCoordinator:
 
     @property
     def phase(self) -> str:
-        return self._phase
+        """waiting | collecting | finished"""
+        if self.status is not None:
+            return "finished"
+        return "waiting" if self._state is None else "collecting"
 
     @property
     def global_params(self) -> ParameterVector:
@@ -368,20 +366,19 @@ class FederationCoordinator:
             return [Send(site, self._ack(site, accepted=False, reason=f"unknown site {site!r}"))]
         self._connected.add(site)
         cmds = [Send(site, self._ack(site, accepted=True))]
-        if self._phase == "finished":
-            cmds.append(self._closing_message(site))
-            return cmds
-        if self._phase == "waiting":
+        if self.status is not None:
+            cmds.append(self._closing_message(site, delay=0.0))
+        elif self._state is None:
             if self._expected <= self._connected:
                 cmds += self._open_round(now, delay=0.0)
-        elif self._state is not None and site in self._state.pending:
+        elif site in self._state.pending:
             # A rejoiner that still owes this round gets the current task again.
             cmds.append(self._task_send(site))
         return cmds
 
     def on_update(self, site: str, update: ModelUpdate, now: float) -> list:
         st = self._state
-        if self._phase != "collecting" or st is None or update.round != st.round:
+        if st is None or update.round != st.round:
             self.stale_updates += 1
             logger.debug("discarding stale update from %s for round %s", site, update.round)
             return []
@@ -391,28 +388,26 @@ class FederationCoordinator:
         st.pending.discard(site)
         st.received[site] = update
         st.arrivals[site] = now
-        st.per_client_times[site] = update.train_seconds
         if not st.pending:
             return self._complete_round(now)
         return []
 
     def on_client_lost(self, site: str, now: float) -> list:
         self._connected.discard(site)
-        if self._phase == "collecting" and self._state is not None and site in self._state.pending:
+        if self._state is not None and site in self._state.pending:
             return self._apply_loss(site, now)
         return []
 
     def on_timeout(self, round_index: int, now: float) -> list:
         st = self._state
-        if self._phase != "collecting" or st is None or st.round != round_index or not st.pending:
+        if st is None or st.round != round_index or not st.pending:
             return []
         if self.cfg.on_client_loss == "wait":
             return self._abort(f"round {round_index} timed out waiting for {sorted(st.pending)}")
         for site in sorted(st.pending):
             st.pending.discard(site)
             st.dropped.add(site)
-        quorum = self.cfg.min_clients_per_round if self.cfg.min_clients_per_round is not None else 1
-        if len(st.received) >= quorum:
+        if len(st.received) >= self.cfg.min_clients_per_round:
             return self._complete_round(now)
         return self._abort(f"round {round_index} timed out below quorum")
 
@@ -426,10 +421,10 @@ class FederationCoordinator:
             JoinAck(accepted=accepted, current_round=self._round, reason=reason),
         )
 
-    def _closing_message(self, site: str) -> Send:
+    def _closing_message(self, site: str, delay: float) -> Send:
         if self.status == "completed":
-            return Send(site, Message("experiment_done", self._round, site))
-        return Send(site, Message("abort", self._round, site, Abort(self.abort_reason)))
+            return Send(site, Message("experiment_done", self._round, site), delay=delay)
+        return Send(site, Message("abort", self._round, site, Abort(self.abort_reason)), delay=delay)
 
     def _task_send(self, site: str, delay: float = 0.0) -> Send:
         msg = Message(
@@ -453,7 +448,6 @@ class FederationCoordinator:
             global_params=self._global,
             pending=set(participants),
         )
-        self._phase = "collecting"
         cmds = [
             self._task_send(site, delay=delay)
             for site in self._site_order
@@ -466,7 +460,7 @@ class FederationCoordinator:
         for site in self._site_order:
             if site in participants and site not in self._connected:
                 cmds += self._apply_loss(site, now)
-                if self._phase != "collecting":
+                if self._state is None:
                     break
         return cmds
 
@@ -488,18 +482,18 @@ class FederationCoordinator:
         # Canonical site order, not arrival order: summation order must not
         # depend on timing, or reconnect schedules would perturb the model.
         ordered = [st.received[s] for s in self._site_order if s in st.received]
-        t0 = self._clock()
+        t0 = time.perf_counter()
         aggregated = federated_average(ordered, self.cfg.algorithm.weighting)
         if self._agg_cost is not None:
             agg_seconds = self._agg_cost
         else:
-            agg_seconds = max(self._clock() - t0, 0.0)
+            agg_seconds = max(time.perf_counter() - t0, 0.0)
         last_arrival = max(st.arrivals.values())
         per_client = {}
         for site in self._site_order:
             if site in st.received:
                 per_client[site] = ClientRoundStat(
-                    train_seconds=st.per_client_times[site],
+                    train_seconds=st.received[site].train_seconds,
                     waiting_seconds=last_arrival - st.arrivals[site],
                     submitted=True,
                 )
@@ -514,34 +508,21 @@ class FederationCoordinator:
         cmds: list = [SaveCheckpoint(st.round, aggregated)]
         self._round = st.round + 1
         self._state = None
-        if self._round >= self.cfg.rounds:
-            self._phase = "finished"
-            self.status = "completed"
-            delay = self._agg_cost if self._agg_cost is not None else 0.0
-            for site in self._site_order:
-                if site in self._connected:
-                    cmds.append(
-                        Send(site, Message("experiment_done", self._round, site), delay=delay)
-                    )
-            cmds.append(Finished("completed"))
-        else:
-            delay = self._agg_cost if self._agg_cost is not None else 0.0
-            cmds += self._open_round(now, delay=delay)
-        return cmds
+        delay = self._agg_cost if self._agg_cost is not None else 0.0
+        if self._round < self.cfg.rounds:
+            return cmds + self._open_round(now, delay=delay)
+        self.status = "completed"
+        return cmds + self._close_all(delay) + [Finished("completed")]
 
     def _abort(self, reason: str) -> list:
         logger.warning("aborting experiment: %s", reason)
-        self._phase = "finished"
         self.status = "aborted"
         self.abort_reason = reason
         self._state = None
-        cmds = [
-            Send(site, Message("abort", self._round, site, Abort(reason)))
-            for site in self._site_order
-            if site in self._connected
-        ]
-        cmds.append(Finished("aborted", reason))
-        return cmds
+        return self._close_all(delay=0.0) + [Finished("aborted", reason)]
+
+    def _close_all(self, delay: float) -> list:
+        return [self._closing_message(s, delay) for s in self._site_order if s in self._connected]
 
 
 # --- final evaluation and report assembly -------------------------------------

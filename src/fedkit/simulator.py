@@ -27,9 +27,9 @@ from typing import Optional
 
 from .client import ClientConfig, ClientSession, Exit, FatalJoin, SendMsg, TrainTask, measure_train_time
 from .errors import CheckpointError, ConfigError, ReportError
-from .metrics import ExperimentReport
+from .metrics import ExperimentReport, report_totals
 from .params import ParameterVector
-from .protocol import FrameDecoder, Message, decode, encode
+from .protocol import Message, decode, encode
 from .server import (
     FederationConfig,
     FederationCoordinator,
@@ -157,8 +157,7 @@ def _completed_total(report) -> float:
     if isinstance(report, dict):  # a loaded report.json document
         if report.get("status") != "completed":
             raise ReportError(f"report is {report.get('status')!r}, not completed")
-        totals = report["totals"]
-        return totals["train"] + totals["validate"] + totals["aggregate"]
+        return report_totals(report).total
     raise ReportError(f"cannot read totals from {type(report).__name__}")
 
 
@@ -260,25 +259,20 @@ class _SimClient:
     def __init__(self, sim: "_Simulation", site: str, index: int):
         self.sim = sim
         self.site = site
-        cfg = ClientConfig(
+        self.cfg = ClientConfig(
             site_name=site,
             server_address=("sim", 0),
             data_seed=sim.cfg.trainer.seed,
             site_index=index,
             compute_multiplier=sim.scenario.multiplier(site),
         )
-        self.cfg = cfg
-        self.session = ClientSession(cfg, sim.cfg.trainer, sim.cfg.site_heterogeneity(index))
+        self.session = ClientSession(self.cfg, sim.cfg.trainer, sim.cfg.site_heterogeneity(index))
         self.connected = False
         self.reconnecting = False
         self.down_until = 0.0
         self.exit_code: Optional[int] = None
-        self.decoder = FrameDecoder()
 
     # -- connection management
-
-    def start(self) -> None:
-        self._start_reconnect()
 
     def on_server_down(self) -> None:
         if self.connected:
@@ -292,12 +286,9 @@ class _SimClient:
             self.sim.notify_client_lost(self.site)
 
     def process_crash(self, downtime: float) -> None:
-        self.down_until = self.sim.loop.now + downtime
+        self.drop_connection(downtime)
         self.session.reset_process_state()
         self.reconnecting = False
-        if self.connected:
-            self.connected = False
-            self.sim.notify_client_lost(self.site)
         if math.isfinite(downtime):
             self.sim.loop.push(downtime, self._start_reconnect)
 
@@ -314,7 +305,6 @@ class _SimClient:
             if self.sim.server.up and self.sim.loop.now >= self.down_until:
                 self.reconnecting = False
                 self.connected = True
-                self.decoder = FrameDecoder()
                 self.sim.connect_events += 1
                 self._run(self.session.on_connected())
             else:
@@ -327,12 +317,10 @@ class _SimClient:
     def receive(self, frame: bytes) -> None:
         if not self.connected or self.exit_code is not None:
             return
-        for msg in self.decoder.feed(frame):
-            if not self.connected:
-                break
-            if msg.kind == "task_assignment" and self.sim.intercept_task_fault(self, msg):
-                continue
-            self._run(self.session.on_message(msg))
+        msg = decode(frame)  # every delivery is exactly one frame
+        if msg.kind == "task_assignment" and self.sim.intercept_task_fault(self, msg):
+            return
+        self._run(self.session.on_message(msg))
 
     def _run(self, cmds) -> None:
         for cmd in cmds:
@@ -365,16 +353,21 @@ class _SimClient:
 
 
 class _Simulation:
-    def __init__(self, scenario: SimScenario, no_progress_seconds: float):
+    def __init__(self, scenario: SimScenario):
         self.scenario = scenario
         self.cfg = scenario.federation
         self.loop = _EventLoop()
-        self.no_progress_seconds = no_progress_seconds
+        # A run that completes no round for this long is hung.
+        slowest = max(scenario.multiplier(s) for s in self.cfg.site_names)
+        round_scale = scenario.base_round_cost_seconds * slowest + scenario.aggregation_cost_seconds
+        self.no_progress_seconds = max(DEFAULT_NO_PROGRESS_SECONDS, 100.0 * round_scale)
         self.round_globals: dict = {}
         self.connect_events = 0
         self.finished: Optional[tuple] = None  # (status, reason)
         self.last_progress = 0.0
-        self.pending_faults = list(scenario.faults)
+        self.pending_faults: dict = {}  # (target, round) -> faults in schedule order
+        for fault in scenario.faults:
+            self.pending_faults.setdefault((fault.target, fault.at_round), []).append(fault)
         self.server = _SimServer(self)
         self.clients = [
             _SimClient(self, spec.name, index) for index, spec in enumerate(self.cfg.sites)
@@ -393,33 +386,34 @@ class _Simulation:
 
     # -- faults
 
+    def _take_fault(self, target: str, round_index: int) -> Optional[FaultEvent]:
+        faults = self.pending_faults.get((target, round_index))
+        return faults.pop(0) if faults else None
+
     def check_server_faults(self) -> None:
         coord = self.server.coordinator
         if coord is None or coord.phase != "collecting":
             return
-        for fault in list(self.pending_faults):
-            if fault.target == FAULT_TARGET_SERVER and fault.at_round == coord.current_round:
-                self.pending_faults.remove(fault)
-                self.server.crash(fault.downtime_seconds)
-                return
+        fault = self._take_fault(FAULT_TARGET_SERVER, coord.current_round)
+        if fault is not None:
+            self.server.crash(fault.downtime_seconds)
 
     def intercept_task_fault(self, client: _SimClient, msg: Message) -> bool:
         """Fire a client fault when its round's task reaches the client.
 
         Returns True when the task must not be processed (crash semantics).
         """
-        for fault in list(self.pending_faults):
-            if fault.target == client.site and fault.at_round == msg.round:
-                self.pending_faults.remove(fault)
-                if fault.kind == "crash":
-                    client.process_crash(fault.downtime_seconds)
-                    return True
-                # disconnect: the task lands, training proceeds offline, and
-                # the finished update is held for resubmission after rejoin.
-                client._run(client.session.on_message(msg))
-                client.drop_connection(fault.downtime_seconds)
-                return True
-        return False
+        fault = self._take_fault(client.site, msg.round)
+        if fault is None:
+            return False
+        if fault.kind == "crash":
+            client.process_crash(fault.downtime_seconds)
+            return True
+        # disconnect: the task lands, training proceeds offline, and
+        # the finished update is held for resubmission after rejoin.
+        client._run(client.session.on_message(msg))
+        client.drop_connection(fault.downtime_seconds)
+        return True
 
     # -- progress
 
@@ -433,10 +427,8 @@ class _Simulation:
 
     def run(self) -> None:
         for client in self.clients:
-            client.start()
-        while True:
-            if self.finished is not None:
-                break
+            client._start_reconnect()
+        while self.finished is None:
             fn = self.loop.pop()
             if fn is None:
                 break
@@ -445,28 +437,22 @@ class _Simulation:
             fn()
 
 
-def simulate(
-    scenario: SimScenario, *, no_progress_seconds: Optional[float] = None
-) -> SimulationReport:
+def simulate(scenario: SimScenario) -> SimulationReport:
     """Run a scenario to completion (or to a diagnosed hang) in virtual time.
 
     Deterministic for a fixed scenario: two calls produce identical reports.
     Any pre-existing checkpoint file is removed first so a stale checkpoint
     from an earlier run cannot leak into this one. A scenario that stops
-    completing rounds for ``no_progress_seconds`` of virtual time (default:
-    generous multiples of the scenario's own round scale) is reported as a
-    hung experiment with a diagnosis, not an error.
+    completing rounds for 100 times its slowest round (at least
+    ``DEFAULT_NO_PROGRESS_SECONDS``) of virtual time is reported as a hung
+    experiment with a diagnosis, not an error.
     """
     cfg = scenario.federation
-    if no_progress_seconds is None:
-        slowest = max(scenario.multiplier(s) for s in cfg.site_names)
-        round_scale = scenario.base_round_cost_seconds * slowest + scenario.aggregation_cost_seconds
-        no_progress_seconds = max(DEFAULT_NO_PROGRESS_SECONDS, 100.0 * round_scale)
     try:
         os.remove(cfg.checkpoint_path)
     except FileNotFoundError:
         pass
-    sim = _Simulation(scenario, no_progress_seconds)
+    sim = _Simulation(scenario)
     sim.run()
 
     if sim.finished is not None:

@@ -273,6 +273,25 @@ class TestReportCommand:
     def test_unreadable_input_exits_2(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path / "missing")]) == 2
 
+    def test_report_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_text("[1, 2]")
+        assert main(["report", "--in", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "must be an object, got list" in captured.err
+        assert captured.out == ""
+
+    def test_totals_missing_a_key_exits_2_naming_it(self, tmp_path, capsys):
+        directory = self.simulate_fitted(tmp_path, "partial", 1.0)
+        report_path = tmp_path / "out" / "partial" / "report.json"
+        doc = json.loads(report_path.read_text())
+        del doc["totals"]["validate"]
+        report_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--in", directory]) == 2
+        captured = capsys.readouterr()
+        assert "totals.validate: missing required key" in captured.err
+        assert captured.out == ""
+
     def test_mismatched_sites_refuse_global_local_section(self, tmp_path, capsys):
         directory = self.simulate_fitted(tmp_path, "broken", 1.0)
         report_path = f"{directory}/report.json"

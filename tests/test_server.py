@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -284,6 +285,44 @@ class TestCoordinator:
         assert sends_of(cmds, "experiment_done")
         finished = [c for c in cmds if isinstance(c, Finished)]
         assert finished and finished[0].status == "completed"
+        assert coord.phase == "finished"
+
+    def with_late_site(self, cfg):
+        sites = (SiteSpec("a"), SiteSpec("b"), SiteSpec("late", expected=False))
+        return dataclasses.replace(cfg, sites=sites)
+
+    def test_phase_through_completion_then_late_join_gets_done(self, tmp_path):
+        cfg = self.with_late_site(make_cfg(tmp_path, rounds=1))
+        coord = FederationCoordinator(cfg, aggregation_cost=0.5)
+        coord.on_join("a", 0.0)
+        assert coord.phase == "waiting"
+        coord.on_join("b", 0.0)
+        assert coord.phase == "collecting"
+        coord.on_update("a", update_for("a", 0), 1.0)
+        assert coord.phase == "collecting"
+        cmds = coord.on_update("b", update_for("b", 0), 2.0)
+        assert coord.phase == "finished" and coord.state is None
+        assert [d.delay for d in sends_of(cmds, "experiment_done")] == [0.5, 0.5]
+        sends = sends_of(coord.on_join("late", 3.0))
+        assert [s.message.kind for s in sends] == ["join_ack", "experiment_done"]
+        assert sends[0].message.body.accepted is True
+        assert sends[1].site == "late" and sends[1].message.round == 1 and sends[1].delay == 0.0
+        assert coord.phase == "finished"
+
+    def test_phase_through_abort_then_late_join_gets_abort(self, tmp_path):
+        cfg = self.with_late_site(make_cfg(
+            tmp_path, rounds=2, on_client_loss="continue_without", min_clients_per_round=2))
+        coord = FederationCoordinator(cfg)
+        assert coord.phase == "waiting"
+        self.join_all(coord, sites=("a", "b"))
+        assert coord.phase == "collecting"
+        cmds = coord.on_client_lost("b", 1.0)
+        assert coord.phase == "finished" and coord.status == "aborted"
+        assert [a.site for a in sends_of(cmds, "abort")] == ["a"]
+        sends = sends_of(coord.on_join("late", 2.0))
+        assert [s.message.kind for s in sends] == ["join_ack", "abort"]
+        assert sends[1].message.body.reason == coord.abort_reason
+        assert "below quorum" in coord.abort_reason
         assert coord.phase == "finished"
 
     def test_late_joiner_admitted_next_round(self, tmp_path):
