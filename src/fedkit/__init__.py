@@ -68,7 +68,6 @@ from .server import (
     SiteSpec,
     handle_client_loss,
     resume_from_checkpoint,
-    run_experiment,
 )
 from .simulator import FaultEvent, SimScenario, SimulationReport, simulate, speedup
 from .training import (

@@ -98,7 +98,7 @@ def parse_address(text: str) -> tuple:
 
 
 def measure_train_time(run, *, mode: str = "real", base_cost: Optional[float] = None,
-                       compute_multiplier: float = 1.0, clock=time.perf_counter):
+                       compute_multiplier: float = 1.0):
     """Run a trainer call and report its duration.
 
     real mode: wall-clock seconds around the call. simulated mode: the
@@ -108,9 +108,9 @@ def measure_train_time(run, *, mode: str = "real", base_cost: Optional[float] = 
     Returns (result, seconds).
     """
     if mode == "real":
-        t0 = clock()
+        t0 = time.perf_counter()
         result = run()
-        return result, clock() - t0
+        return result, time.perf_counter() - t0
     if mode == "simulated":
         if base_cost is None:
             raise ConfigError("simulated timing requires a base_cost")

@@ -4,8 +4,9 @@ fault policy, and checkpointing.
 The :class:`FederationCoordinator` is transport-agnostic. Runtimes feed it
 events (join, update, client loss, timeout) and execute the command list it
 returns; all round-state mutation happens inside the coordinator, one event
-at a time. The TCP runtime here drives it from socket reader threads through
-a single queue, so the coordinator itself never blocks on network I/O. The
+at a time. The TCP runtime here drives it from one selector loop on one
+thread, which accepts, reads and decodes connections itself, so no event
+crosses a thread and the coordinator never waits on a socket read. The
 simulator drives the very same coordinator from a virtual clock, which is
 what keeps simulated and deployed round semantics identical.
 
@@ -20,9 +21,8 @@ import json
 import logging
 import math
 import os
-import queue
+import selectors
 import socket
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -246,7 +246,6 @@ class RoundState:
     """Mutable state of the round being collected."""
 
     round: int
-    global_params: ParameterVector
     received: dict = field(default_factory=dict)  # site -> ModelUpdate
     pending: set = field(default_factory=set)
     arrivals: dict = field(default_factory=dict)
@@ -443,11 +442,7 @@ class FederationCoordinator:
                 f"round {self._round} cannot meet the quorum of {quorum} "
                 f"with {len(participants)} participants"
             )
-        self._state = RoundState(
-            round=self._round,
-            global_params=self._global,
-            pending=set(participants),
-        )
+        self._state = RoundState(round=self._round, pending=set(participants))
         cmds = [
             self._task_send(site, delay=delay)
             for site in self._site_order
@@ -572,39 +567,38 @@ def build_experiment_report(
 
 # --- TCP runtime ---------------------------------------------------------------
 
+POLL_SECONDS = 0.2  # longest the loop sleeps before it looks at stop() again
+SEND_TIMEOUT_SECONDS = 0.5  # bounds a send to a peer that stopped reading
+# What a connection may buffer before it has joined; a join_request frame is
+# about 70 B, so anything past this is not a client.
+PREJOIN_BUFFER_BYTES = 4096
+
 
 class _Connection:
-    """One client socket, owned by a reader thread; sends are serialized."""
+    """One client socket and the decoder of its byte stream."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
+        self.decoder = FrameDecoder()
         self.site: Optional[str] = None
-        self.lost_handled = False  # touched only by the coordinator loop
-        self._send_lock = threading.Lock()
-        self._closed = False
 
-    def send(self, message: Message) -> None:
-        with self._send_lock:
-            self.sock.sendall(encode(message))
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self.sock.close()
+def _hang_up(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
 
 
 class FederationServer:
-    """Blocking TCP server around a :class:`FederationCoordinator`.
+    """TCP server around a :class:`FederationCoordinator`, on one thread.
 
-    Socket reader threads translate frames into events on one queue; the
-    thread that called :meth:`run` is the coordinator, popping events and
-    executing commands. ``stop()`` abandons the run (for restart tests and
-    operator interrupts); a later server can resume from the checkpoint.
+    The thread that calls :meth:`run` does everything: one selector loop
+    accepts connections, reads them, decodes frames into coordinator events
+    and executes the returned commands. A connection costs a socket and a
+    frame decoder, no thread. ``stop()`` abandons the run from any thread
+    (for restart tests and operator interrupts) and takes effect within
+    one poll; a later server can resume from the checkpoint.
     """
 
     def __init__(
@@ -618,18 +612,17 @@ class FederationServer:
         self.cfg = cfg
         self._resume = resume
         self._startup_timeout = startup_timeout
-        self._events: queue.Queue = queue.Queue()
-        self._connections: dict = {}  # site -> _Connection
-        self._conn_lock = threading.Lock()
-        self._stopped = threading.Event()
-        self._threads: list = []
-        if isinstance(listen, socket.socket):
-            self._listener = listen
-        else:
-            host, port = listen
-            self._listener = socket.create_server((host, port))
-        self._listener.settimeout(0.2)
+        self._stopped = False
+        self._connections: dict = {}  # site -> the _Connection that owns it
+        self._listener = socket.create_server(listen)
+        self._listener.setblocking(False)
         self.address = self._listener.getsockname()[:2]
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._coordinator: Optional[FederationCoordinator] = None
+        self._timer: Optional[tuple] = None  # (round_index, monotonic deadline)
+        self._finished: Optional[Finished] = None
+        self._any_join = False
 
     # -- lifecycle
 
@@ -647,79 +640,16 @@ class FederationServer:
                     self.cfg.checkpoint_path, config_hash(self.cfg)
                 )
                 logger.info("resuming from checkpoint at round %d", start_round)
-            coordinator = FederationCoordinator(
+            self._coordinator = FederationCoordinator(
                 self.cfg, start_round=start_round, start_global=start_global
             )
-            accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-            accept_thread.start()
-            self._threads.append(accept_thread)
-            return self._coordinate(coordinator)
+            if not self._serve():
+                return None
         finally:
             self._shutdown()
-
-    def stop(self) -> None:
-        self._stopped.set()
-        self._events.put(("stop",))
-
-    # -- coordinator loop
-
-    def _coordinate(self, coordinator: FederationCoordinator) -> Optional[ExperimentReport]:
-        started = time.monotonic()
-        any_join = False
-        timer_deadline: Optional[tuple] = None  # (round_index, monotonic deadline)
-        finished: Optional[Finished] = None
-        while finished is None:
-            if self._stopped.is_set():
-                return None
-            timeout = 0.2
-            if timer_deadline is not None:
-                timeout = min(timeout, max(timer_deadline[1] - time.monotonic(), 0.0))
-            try:
-                event = self._events.get(timeout=timeout)
-            except queue.Empty:
-                event = None
-            now = time.monotonic()
-            if timer_deadline is not None and now >= timer_deadline[1]:
-                round_index = timer_deadline[0]
-                timer_deadline = None
-                finished, timer_deadline = self._execute(
-                    coordinator, coordinator.on_timeout(round_index, now), timer_deadline
-                )
-                if finished is not None:
-                    break
-            if event is None:
-                if not any_join and now - started > self._startup_timeout:
-                    raise StartupError(
-                        f"no client joined within {self._startup_timeout:.0f} s"
-                    )
-                continue
-            if event[0] == "stop":
-                return None
-            kind, conn, payload = event
-            if kind == "join":
-                any_join = True
-                site = payload
-                with self._conn_lock:
-                    conn.site = site
-                    self._connections[site] = conn
-                cmds = coordinator.on_join(site, now)
-            elif kind == "update":
-                cmds = coordinator.on_update(payload.client_id, payload, now)
-            elif kind == "lost":
-                site = conn.site
-                if site is None or conn.lost_handled:
-                    continue
-                conn.lost_handled = True
-                with self._conn_lock:
-                    if self._connections.get(site) is not conn:
-                        continue  # a newer connection owns this site; loss is stale
-                    self._connections.pop(site, None)
-                cmds = coordinator.on_client_lost(site, now)
-            else:  # pragma: no cover - defensive
-                continue
-            finished, timer_deadline = self._execute(coordinator, cmds, timer_deadline)
-        if finished.status == "aborted":
-            raise ExperimentAborted(finished.reason)
+        if self._finished.status == "aborted":
+            raise ExperimentAborted(self._finished.reason)
+        coordinator = self._coordinator
         t0 = time.perf_counter()
         final_scores = evaluate_sites(self.cfg, coordinator.global_params)
         validate_seconds = time.perf_counter() - t0
@@ -731,114 +661,122 @@ class FederationServer:
             final_scores=final_scores,
         )
 
-    def _execute(self, coordinator, cmds, timer_deadline):
-        finished = None
+    def stop(self) -> None:
+        self._stopped = True
+
+    # -- the loop
+
+    def _serve(self) -> bool:
+        """Run the loop until the coordinator finishes (True) or stop() (False)."""
+        started = time.monotonic()
+        while self._finished is None:
+            if self._stopped:
+                return False
+            timeout = POLL_SECONDS
+            if self._timer is not None:
+                timeout = min(timeout, max(self._timer[1] - time.monotonic(), 0.0))
+            ready = self._selector.select(timeout)
+            now = time.monotonic()
+            if self._timer is not None and now >= self._timer[1]:
+                round_index, self._timer = self._timer[0], None
+                self._execute(self._coordinator.on_timeout(round_index, now))
+            for key, _mask in ready:
+                if self._finished is not None:
+                    break
+                if key.data is None:
+                    self._accept()
+                else:
+                    self._read(key.data)
+            if not self._any_join and now - started > self._startup_timeout:
+                raise StartupError(f"no client joined within {self._startup_timeout:.0f} s")
+        return True
+
+    def _accept(self) -> None:
+        try:
+            sock, _addr = self._listener.accept()
+        except OSError:
+            return
+        sock.settimeout(SEND_TIMEOUT_SECONDS)
+        self._selector.register(sock, selectors.EVENT_READ, _Connection(sock))
+
+    def _read(self, conn: _Connection) -> None:
+        """Feed one read into the connection's decoder; on end of stream or a
+        protocol violation drop it, reporting the loss of a joined site."""
+        try:
+            chunk = conn.sock.recv(65536)
+            if not chunk:
+                raise ConnectionError("end of stream")
+            for msg in conn.decoder.feed(chunk):
+                self._dispatch(conn, msg)
+                if self._finished is not None:
+                    return
+            if conn.site is None and conn.decoder.pending_bytes > PREJOIN_BUFFER_BYTES:
+                raise ProtocolError(
+                    f"{conn.decoder.pending_bytes} bytes buffered before a join_request"
+                )
+        except (OSError, ProtocolError) as exc:
+            logger.debug("connection error for %s: %s", conn.site, exc)
+            self._selector.unregister(conn.sock)
+            _hang_up(conn.sock)
+            conn.sock.close()
+            site = conn.site
+            if site is not None and self._connections.get(site) is conn:
+                # Only the connection that owns the site reports its loss; an
+                # older one replaced by a rejoin goes quietly.
+                del self._connections[site]
+                self._execute(self._coordinator.on_client_lost(site, time.monotonic()))
+
+    def _dispatch(self, conn: _Connection, msg: Message) -> None:
+        now = time.monotonic()
+        if conn.site is None:
+            if msg.kind != "join_request":
+                raise ProtocolError(f"expected join_request, got {msg.kind}")
+            self._any_join = True
+            conn.site = msg.client_id
+            self._connections[conn.site] = conn
+            cmds = self._coordinator.on_join(conn.site, now)
+        elif msg.kind == "update_submission":
+            if msg.client_id != conn.site:
+                raise ProtocolError(
+                    f"update from {msg.client_id!r} on {conn.site!r}'s connection"
+                )
+            cmds = self._coordinator.on_update(msg.client_id, msg.body, now)
+        elif msg.kind == "heartbeat":
+            return
+        else:
+            raise ProtocolError(f"unexpected {msg.kind} from client")
+        self._execute(cmds)
+
+    def _execute(self, cmds: list) -> None:
         for cmd in cmds:
             if isinstance(cmd, Send):
                 self._send(cmd)
             elif isinstance(cmd, SaveCheckpoint):
                 save_checkpoint(
-                    self.cfg.checkpoint_path, cmd.round_index, cmd.params, coordinator.config_digest
+                    self.cfg.checkpoint_path,
+                    cmd.round_index,
+                    cmd.params,
+                    self._coordinator.config_digest,
                 )
             elif isinstance(cmd, StartTimer):
-                timer_deadline = (cmd.round_index, time.monotonic() + cmd.seconds)
+                self._timer = (cmd.round_index, time.monotonic() + cmd.seconds)
             elif isinstance(cmd, Finished):
-                finished = cmd
-        return finished, timer_deadline
+                self._finished = cmd
 
     def _send(self, cmd: Send) -> None:
-        with self._conn_lock:
-            conn = self._connections.get(cmd.site)
+        conn = self._connections.get(cmd.site)
         if conn is None:
             return
         try:
-            conn.send(cmd.message)
+            conn.sock.sendall(encode(cmd.message))
         except OSError:
-            # Report the loss as an event so its cascade (drop, round
-            # completion, abort) runs through the one coordinator loop.
-            conn.close()
-            self._events.put(("lost", conn, None))
-
-    # -- socket plumbing
-
-    def _accept_loop(self) -> None:
-        while not self._stopped.is_set():
-            try:
-                sock, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn = _Connection(sock)
-            reader = threading.Thread(target=self._read_loop, args=(conn,), daemon=True)
-            reader.start()
-            self._threads.append(reader)
-
-    def _read_loop(self, conn: _Connection) -> None:
-        decoder = FrameDecoder()
-        sock = conn.sock
-        sock.settimeout(0.5)
-        joined_site = None
-        try:
-            while not self._stopped.is_set():
-                try:
-                    chunk = sock.recv(65536)
-                except socket.timeout:
-                    continue
-                if not chunk:
-                    break
-                for msg in decoder.feed(chunk):
-                    if joined_site is None:
-                        if msg.kind != "join_request":
-                            raise ProtocolError(f"expected join_request, got {msg.kind}")
-                        joined_site = msg.client_id
-                        self._events.put(("join", conn, joined_site))
-                    elif msg.kind == "update_submission":
-                        if msg.client_id != joined_site:
-                            raise ProtocolError(
-                                f"update from {msg.client_id!r} on {joined_site!r}'s connection"
-                            )
-                        self._events.put(("update", conn, msg.body))
-                    elif msg.kind == "heartbeat":
-                        continue
-                    else:
-                        raise ProtocolError(f"unexpected {msg.kind} from client")
-        except (OSError, ProtocolError) as exc:
-            logger.debug("connection error for %s: %s", conn.site, exc)
-        finally:
-            conn.close()
-            if joined_site is not None:
-                self._events.put(("lost", conn, None))
+            # The socket then reads as ended, and _read reports the loss, so
+            # its cascade (drop, round completion, abort) has one path.
+            _hang_up(conn.sock)
 
     def _shutdown(self) -> None:
-        self._stopped.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._conn_lock:
-            conns = list(self._connections.values())
-            self._connections.clear()
-        for conn in conns:
-            conn.close()
-
-
-def run_experiment(
-    cfg: FederationConfig,
-    transport=("127.0.0.1", 0),
-    *,
-    resume: bool = False,
-    startup_timeout: float = 30.0,
-) -> ExperimentReport:
-    """Run a full experiment over TCP and return its report.
-
-    ``transport`` is the connection acceptor: a (host, port) pair or an
-    already-bound listening socket.
-    """
-    server = FederationServer(
-        cfg, transport, resume=resume, startup_timeout=startup_timeout
-    )
-    report = server.run()
-    if report is None:
-        raise FedkitError("server was stopped before the experiment completed")
-    return report
+        for key in list(self._selector.get_map().values()):
+            _hang_up(key.fileobj)
+            key.fileobj.close()
+        self._selector.close()
+        self._connections.clear()

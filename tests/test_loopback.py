@@ -3,6 +3,7 @@
 Servers and clients run in daemon threads; every experiment here is tiny
 (desk-scale trainers, a handful of rounds) so the suite stays fast.
 """
+import socket
 import threading
 import time
 
@@ -15,9 +16,11 @@ from fedkit import (
     FederationConfig,
     FederationServer,
     HeterogeneityConfig,
+    Message,
     SiteSpec,
     StartupError,
     TrainerConfig,
+    encode,
     resume_from_checkpoint,
     run_client,
 )
@@ -159,6 +162,95 @@ class TestLoopbackExperiment:
         assert not intruder.is_alive()
         assert "unknown site" in str(holder["error"])
         assert report is not None
+
+
+class TestRawConnections:
+    """Sockets the test drives byte by byte. Connections that have not
+    joined cost no thread, may buffer only a few KiB and must open with a
+    join_request; the experiment runs on."""
+
+    def start_server(self, tmp_path, **kw):
+        cfg = make_cfg(tmp_path, rounds=1, **kw)
+        server = FederationServer(cfg, ("127.0.0.1", 0))
+        holder = {}
+        thread = threading.Thread(
+            target=lambda: holder.update(report=server.run()), daemon=True
+        )
+        thread.start()
+        return cfg, server, thread, holder
+
+    def complete_experiment(self, cfg, server, thread, holder):
+        assert finish(start_clients(cfg, server.address)) == [0, 0, 0]
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert len(holder["report"].rounds) == 1
+
+    def assert_closed_by_server(self, sock, within=5.0):
+        sock.settimeout(within)
+        try:
+            data = sock.recv(1)
+        except ConnectionResetError:
+            return
+        except socket.timeout:
+            pytest.fail(f"server kept the connection open for {within} s")
+        assert data == b""
+
+    def test_failed_send_is_reported_as_a_loss(self, tmp_path, monkeypatch):
+        # The task to strasbourg fails to send: the server hangs that socket
+        # up and reads its end of stream as the site's loss, so under
+        # continue_without the round completes without it. Unreported, the
+        # loss would hold the round open while the raw socket stays open.
+        import fedkit.server
+
+        real_encode, failed = fedkit.server.encode, []
+
+        def encode_failing_once(msg):
+            if msg.kind == "task_assignment" and msg.client_id == "strasbourg" and not failed:
+                failed.append(msg.round)
+                raise BrokenPipeError("simulated send failure")
+            return real_encode(msg)
+
+        monkeypatch.setattr(fedkit.server, "encode", encode_failing_once)
+        cfg, server, thread, holder = self.start_server(
+            tmp_path, on_client_loss="continue_without", min_clients_per_round=2
+        )
+        with socket.create_connection(server.address) as raw:
+            raw.sendall(encode(Message("join_request", 0, "strasbourg")))
+            assert finish(start_clients(cfg, server.address, SITES[:2])) == [0, 0]
+            thread.join(10.0)
+            assert not thread.is_alive()
+        assert failed == [0]
+        record = holder["report"].rounds[0]
+        submitted = {site: stat.submitted for site, stat in record.per_client.items()}
+        assert submitted == {"basel": True, "freiburg": True, "strasbourg": False}
+
+    def test_oversized_frame_before_join_is_dropped(self, tmp_path):
+        cfg, server, thread, holder = self.start_server(tmp_path)
+        with socket.create_connection(server.address) as raw:
+            raw.sendall((1 << 20).to_bytes(4, "big") + bytes(8192))
+            self.assert_closed_by_server(raw)
+        self.complete_experiment(cfg, server, thread, holder)
+
+    def test_first_frame_other_than_join_is_dropped(self, tmp_path):
+        cfg, server, thread, holder = self.start_server(tmp_path)
+        with socket.create_connection(server.address) as raw:
+            raw.sendall(encode(Message("heartbeat", 0, "basel")))
+            self.assert_closed_by_server(raw)
+        self.complete_experiment(cfg, server, thread, holder)
+
+    def test_idle_connections_start_no_thread(self, tmp_path):
+        cfg, server, thread, holder = self.start_server(tmp_path)
+        before = set(threading.enumerate())
+        raws = [socket.create_connection(server.address) for _ in range(10)]
+        try:
+            time.sleep(0.5)
+            # Compare identities, not counts: a thread left over from an
+            # earlier test may end meanwhile.
+            assert [t for t in threading.enumerate() if t not in before] == []
+            self.complete_experiment(cfg, server, thread, holder)
+        finally:
+            for raw in raws:
+                raw.close()
 
 
 class TestServerRestart:

@@ -130,27 +130,24 @@ class TestCheckpoint:
 class TestHandleClientLoss:
     def test_wait_policy_waits(self, tmp_path):
         cfg = make_cfg(tmp_path, on_client_loss="wait")
-        state = RoundState(round=0, global_params=ParameterVector([0.0]),
-                           pending={"a", "b", "c"})
+        state = RoundState(round=0, pending={"a", "b", "c"})
         assert handle_client_loss(state, "a", cfg) == WAIT
 
     def test_drop_when_quorum_holds(self, tmp_path):
         cfg = make_cfg(tmp_path, on_client_loss="continue_without", min_clients_per_round=2)
-        state = RoundState(round=0, global_params=ParameterVector([0.0]),
-                           pending={"a", "b", "c"})
+        state = RoundState(round=0, pending={"a", "b", "c"})
         assert handle_client_loss(state, "a", cfg) == DROP_FOR_ROUND
 
     def test_abort_when_quorum_violated(self, tmp_path):
         cfg = make_cfg(tmp_path, sites=("a", "b"), on_client_loss="continue_without",
                        min_clients_per_round=2)
-        state = RoundState(round=0, global_params=ParameterVector([0.0]), pending={"a", "b"})
+        state = RoundState(round=0, pending={"a", "b"})
         assert handle_client_loss(state, "a", cfg) == ABORT
 
     def test_received_client_loss_does_not_violate_quorum(self, tmp_path):
         cfg = make_cfg(tmp_path, sites=("a", "b"), on_client_loss="continue_without",
                        min_clients_per_round=2)
-        state = RoundState(round=0, global_params=ParameterVector([0.0]),
-                           received={"a": update_for("a", 0)}, pending={"b"})
+        state = RoundState(round=0, received={"a": update_for("a", 0)}, pending={"b"})
         assert handle_client_loss(state, "a", cfg) == DROP_FOR_ROUND
 
 
