@@ -8,6 +8,7 @@ models of sites whose process never crashed must match too.
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -119,14 +120,15 @@ DUPLICATE_DIGESTS = {
 def simulation_digest(scenario):
     """sha256 over everything simulate() returns and the final checkpoint."""
     report = simulate(scenario)
-    experiment = to_json(report.experiment)
-    experiment["config"].pop("checkpoint_path")
+    experiment = to_json(report.experiment)  # None when no round was reported
+    if experiment is not None:
+        experiment["config"].pop("checkpoint_path")
     digest = hashlib.sha256(json.dumps(
         [report.status, report.diagnosis, repr(report.virtual_seconds), report.reconnects,
          experiment], sort_keys=True).encode())
     for params in report.round_globals:
         digest.update(params.values.tobytes())
-    for site in sorted(report.personal_models):
+    for site in sorted(report.personal_models or {}):  # None unless ditto
         personal = report.personal_models[site]  # None once a crash lost it
         if personal is not None:
             digest.update(personal.values.tobytes())
@@ -208,3 +210,46 @@ def test_policy_scenario_digests(tmp_path, name):
     scenario = policy_scenario(tmp_path, name, **POLICY_SCENARIOS[name])
     assert simulate(scenario).status == POLICY_STATUS[name]
     assert simulation_digest(scenario) == POLICY_DIGESTS[name], name
+
+
+# Hung runs whose server never comes back, or comes back to a round that
+# cannot open: 3 sites, 4 rounds, fedavg. The diagnosis names the cause.
+HUNG_SCENARIOS = {
+    "server_never_back": dict(
+        faults=(FaultEvent(at_round=1, target="server", kind="crash",
+                           downtime_seconds=math.inf),),
+    ),
+    "round_never_opens": dict(
+        on_client_loss="continue_without", min_clients_per_round=2,
+        faults=(FaultEvent(at_round=1, target="c", kind="crash", downtime_seconds=math.inf),
+                FaultEvent(at_round=2, target="server", kind="crash", downtime_seconds=10.0)),
+    ),
+}
+HUNG_DIAGNOSES = {
+    "server_never_back": "no progress after 100046 virtual seconds: "
+                         "the server went down and never came back",
+    "round_never_opens": "no progress after 66 virtual seconds: "
+                         "round 2 never opened (expected sites still absent)",
+}
+HUNG_ROUNDS = {"server_never_back": 1, "round_never_opens": 2}
+HUNG_DIGESTS = {
+    "server_never_back": "f48f833061f42c7e89ac4c011105342b6cca4d8c51aa111cae48baef480f6c81",
+    "round_never_opens": "9d47b9f868eb1d3a3c06acc3c97899edaaa5add930b7405a421843a9dced68f3",
+}
+
+
+def hung_scenario(directory, name, faults, **federation):
+    base = make_scenario(directory, 3, faults, name=name, rounds=4)
+    return dataclasses.replace(
+        base, federation=dataclasses.replace(base.federation, algorithm=AlgorithmConfig(),
+                                             **federation))
+
+
+@pytest.mark.parametrize("name", sorted(HUNG_SCENARIOS))
+def test_hung_diagnosis_digests(tmp_path, name):
+    scenario = hung_scenario(tmp_path, name, **HUNG_SCENARIOS[name])
+    report = simulate(scenario)
+    assert report.status == "hung"
+    assert report.diagnosis == HUNG_DIAGNOSES[name]
+    assert len(report.round_globals) == HUNG_ROUNDS[name]
+    assert simulation_digest(scenario) == HUNG_DIGESTS[name], name
