@@ -23,7 +23,6 @@ from .client import (
     ClientConfig,
     ClientRuntime,
     ClientSession,
-    measure_train_time,
     run_client,
 )
 from .errors import (

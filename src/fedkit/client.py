@@ -64,16 +64,15 @@ class BackoffPolicy:
 class ClientConfig:
     """One site's runtime identity and connection behavior.
 
-    ``compute_multiplier`` is the simulated slowdown factor modeling the
-    site's hardware class (1.0 = baseline); it matters only to simulated
-    timing, never to real wall-clock measurement.
+    Training time is not configured here: the TCP runtime measures it on
+    the wall clock, and the simulator derives it from its scenario's
+    per-site multipliers.
     """
 
     site_name: str
     server_address: tuple
     data_seed: int = 0
     site_index: int = 0
-    compute_multiplier: float = 1.0
     reconnect_backoff: BackoffPolicy = BackoffPolicy()
 
     def __post_init__(self):
@@ -85,8 +84,6 @@ class ClientConfig:
         object.__setattr__(self, "server_address", (host, int(port)))
         if self.site_index < 0:
             raise ConfigError(f"site_index must be >= 0, got {self.site_index}")
-        if self.compute_multiplier <= 0:
-            raise ConfigError(f"compute_multiplier must be > 0, got {self.compute_multiplier}")
 
 
 def parse_address(text: str) -> tuple:
@@ -95,28 +92,6 @@ def parse_address(text: str) -> tuple:
     if not sep or not host or not port.isdigit():
         raise ConfigError(f"expected HOST:PORT, got {text!r}")
     return host, int(port)
-
-
-def measure_train_time(run, *, mode: str = "real", base_cost: Optional[float] = None,
-                       compute_multiplier: float = 1.0):
-    """Run a trainer call and report its duration.
-
-    real mode: wall-clock seconds around the call. simulated mode: the
-    deterministic ``base_cost * compute_multiplier``, so two sites with
-    multipliers 1.0 and 2.0 report times in the exact ratio 1:2.
-
-    Returns (result, seconds).
-    """
-    if mode == "real":
-        t0 = time.perf_counter()
-        result = run()
-        return result, time.perf_counter() - t0
-    if mode == "simulated":
-        if base_cost is None:
-            raise ConfigError("simulated timing requires a base_cost")
-        result = run()
-        return result, base_cost * compute_multiplier
-    raise ConfigError(f"unknown timing mode {mode!r}")
 
 
 # --- session commands (executed by the runtime) --------------------------------
@@ -311,10 +286,9 @@ class ClientRuntime:
             sock.sendall(encode(cmd.message))
             return None
         if isinstance(cmd, TrainTask):
-            update, seconds = measure_train_time(
-                lambda: self.session.train(cmd.round_index, cmd.params, cmd.algorithm)
-            )
-            update = dataclasses.replace(update, train_seconds=seconds)
+            t0 = time.perf_counter()
+            update = self.session.train(cmd.round_index, cmd.params, cmd.algorithm)
+            update = dataclasses.replace(update, train_seconds=time.perf_counter() - t0)
             for follow_up in self.session.on_trained(update):
                 code = self._execute(follow_up, sock)
                 if code is not None:

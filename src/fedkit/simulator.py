@@ -8,9 +8,15 @@ latency is modeled as zero; only compute heterogeneity (per-site time
 multipliers) and faults are modeled, because hardware, not links, is what
 separates the sites' round times.
 
-Per-client simulated round time is ``base_round_cost_seconds * multiplier``;
-a round spans the slowest participant plus the aggregation cost, so each
-client's waiting time is the round's training span minus its own time.
+Each simulated client's training time is ``base_round_cost_seconds *
+multiplier``, computed once per client; a round spans the slowest
+participant plus the aggregation cost, so each client's waiting time is the
+round's training span minus its own time.
+
+The simulation object is also the server process: it holds the live
+coordinator and an up flag. A restarted server resumes from the checkpoint
+this run saved last; an unreadable one raises
+:class:`~fedkit.errors.CheckpointError`.
 
 Determinism is a hard contract: the loop is strictly single-threaded,
 ties break by insertion order, and reconnect backoff carries no jitter, so
@@ -25,8 +31,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .client import ClientConfig, ClientSession, Exit, FatalJoin, SendMsg, TrainTask, measure_train_time
-from .errors import CheckpointError, ConfigError, ReportError
+from .client import ClientConfig, ClientSession, Exit, FatalJoin, SendMsg, TrainTask
+from .errors import ConfigError, ReportError
 from .metrics import ExperimentReport, report_totals
 from .params import ParameterVector
 from .protocol import Message, decode, encode
@@ -137,7 +143,11 @@ class SimulationReport:
 
 
 def speedup(report_a, report_b) -> float:
-    """Relative total-time improvement of b over a, in percent."""
+    """Relative total-time improvement of b over a, in percent.
+
+    Each report is a :class:`SimulationReport` or a loaded report.json
+    document; both must be completed.
+    """
     total_a = _completed_total(report_a)
     total_b = _completed_total(report_b)
     if total_a <= 0:
@@ -150,10 +160,6 @@ def _completed_total(report) -> float:
         if report.status != "completed" or report.experiment is None:
             raise ReportError(f"report is {report.status}, not completed: {report.diagnosis}")
         return report.experiment.totals.total
-    if isinstance(report, ExperimentReport):
-        if report.status != "completed":
-            raise ReportError(f"report is {report.status}, not completed")
-        return report.totals.total
     if isinstance(report, dict):  # a loaded report.json document
         if report.get("status") != "completed":
             raise ReportError(f"report is {report.get('status')!r}, not completed")
@@ -182,77 +188,6 @@ class _EventLoop:
         return fn
 
 
-class _SimServer:
-    """Server process model: holds the live coordinator, can crash and resume."""
-
-    def __init__(self, sim: "_Simulation"):
-        self.sim = sim
-        self.up = True
-        self.coordinator = FederationCoordinator(
-            sim.cfg, aggregation_cost=sim.scenario.aggregation_cost_seconds
-        )
-
-    def feed(self, event: str, *args) -> None:
-        if not self.up:
-            return
-        cmds = getattr(self.coordinator, event)(*args, self.sim.loop.now)
-        self._execute(cmds)
-        self.sim.check_server_faults()
-
-    def deliver(self, frame: bytes) -> None:
-        if not self.up:
-            return
-        msg = decode(frame)
-        if msg.kind == "join_request":
-            self.feed("on_join", msg.client_id)
-        elif msg.kind == "update_submission":
-            self.feed("on_update", msg.client_id, msg.body)
-        # heartbeats and anything else carry no event
-
-    def crash(self, downtime: float) -> None:
-        self.up = False
-        self.coordinator = None
-        for client in self.sim.clients:
-            self.sim.loop.push(0.0, client.on_server_down)
-        if math.isfinite(downtime):
-            self.sim.loop.push(downtime, self.restart)
-
-    def restart(self) -> None:
-        try:
-            start_global, start_round = resume_from_checkpoint(
-                self.sim.cfg.checkpoint_path, config_hash(self.sim.cfg)
-            )
-        except CheckpointError:
-            start_global, start_round = None, 0  # crashed before the first checkpoint
-        self.coordinator = FederationCoordinator(
-            self.sim.cfg,
-            start_round=start_round,
-            start_global=start_global,
-            aggregation_cost=self.sim.scenario.aggregation_cost_seconds,
-        )
-        self.up = True
-
-    def _execute(self, cmds) -> None:
-        for cmd in cmds:
-            if isinstance(cmd, Send):
-                self.sim.deliver_to_client(cmd.site, cmd.message, cmd.delay)
-            elif isinstance(cmd, SaveCheckpoint):
-                save_checkpoint(
-                    self.sim.cfg.checkpoint_path,
-                    cmd.round_index,
-                    cmd.params,
-                    self.coordinator.config_digest,
-                )
-                self.sim.record_round_global(cmd.round_index, cmd.params)
-            elif isinstance(cmd, StartTimer):
-                round_index = cmd.round_index
-                self.sim.loop.push(
-                    cmd.seconds, lambda r=round_index: self.feed("on_timeout", r)
-                )
-            elif isinstance(cmd, Finished):
-                self.sim.on_finished(cmd.status, cmd.reason)
-
-
 class _SimClient:
     """Client process model around the shared session state machine."""
 
@@ -264,9 +199,9 @@ class _SimClient:
             server_address=("sim", 0),
             data_seed=sim.cfg.trainer.seed,
             site_index=index,
-            compute_multiplier=sim.scenario.multiplier(site),
         )
         self.session = ClientSession(self.cfg, sim.cfg.trainer, sim.cfg.site_heterogeneity(index))
+        self.train_seconds = sim.scenario.base_round_cost_seconds * sim.scenario.multiplier(site)
         self.connected = False
         self.reconnecting = False
         self.down_until = 0.0
@@ -283,7 +218,7 @@ class _SimClient:
         self.down_until = self.sim.loop.now + downtime
         if self.connected:
             self.connected = False
-            self.sim.notify_client_lost(self.site)
+            self.sim.loop.push(0.0, lambda: self.sim.feed("on_client_lost", self.site))
 
     def process_crash(self, downtime: float) -> None:
         self.drop_connection(downtime)
@@ -302,7 +237,7 @@ class _SimClient:
             if self.connected or self.exit_code is not None:
                 self.reconnecting = False
                 return
-            if self.sim.server.up and self.sim.loop.now >= self.down_until:
+            if self.sim.server_up and self.sim.loop.now >= self.down_until:
                 self.reconnecting = False
                 self.connected = True
                 self.sim.connect_events += 1
@@ -327,14 +262,11 @@ class _SimClient:
             if isinstance(cmd, SendMsg):
                 self._send(cmd.message)
             elif isinstance(cmd, TrainTask):
-                update, seconds = measure_train_time(
-                    lambda: self.session.train(cmd.round_index, cmd.params, cmd.algorithm),
-                    mode="simulated",
-                    base_cost=self.sim.scenario.base_round_cost_seconds,
-                    compute_multiplier=self.cfg.compute_multiplier,
+                update = self.session.train(cmd.round_index, cmd.params, cmd.algorithm)
+                update = dataclasses.replace(update, train_seconds=self.train_seconds)
+                self.sim.loop.push(
+                    self.train_seconds, lambda u=update: self._run(self.session.on_trained(u))
                 )
-                update = dataclasses.replace(update, train_seconds=seconds)
-                self.sim.loop.push(seconds, lambda u=update: self._run(self.session.on_trained(u)))
             elif isinstance(cmd, Exit):
                 self.exit_code = cmd.code
                 self.connected = False
@@ -342,9 +274,9 @@ class _SimClient:
                 raise ConfigError(cmd.reason)
 
     def _send(self, message: Message) -> None:
-        if self.connected and self.sim.server.up:
+        if self.connected and self.sim.server_up:
             frame = encode(message)
-            self.sim.loop.push(0.0, lambda: self.sim.server.deliver(frame))
+            self.sim.loop.push(0.0, lambda: self.sim.deliver(frame))
         else:
             # The send failed; a real client notices the break here and
             # re-enters its reconnect loop.
@@ -353,6 +285,12 @@ class _SimClient:
 
 
 class _Simulation:
+    """The event loop, the server process model and the client models.
+
+    The server is the live coordinator plus an up flag: a crash drops the
+    coordinator, and a restart builds a new one from the last checkpoint.
+    """
+
     def __init__(self, scenario: SimScenario):
         self.scenario = scenario
         self.cfg = scenario.federation
@@ -368,35 +306,82 @@ class _Simulation:
         self.pending_faults: dict = {}  # (target, round) -> faults in schedule order
         for fault in scenario.faults:
             self.pending_faults.setdefault((fault.target, fault.at_round), []).append(fault)
-        self.server = _SimServer(self)
+        self.server_up = True
+        self.coordinator: Optional[FederationCoordinator] = FederationCoordinator(
+            self.cfg, aggregation_cost=scenario.aggregation_cost_seconds
+        )
         self.clients = [
             _SimClient(self, spec.name, index) for index, spec in enumerate(self.cfg.sites)
         ]
         self.by_site = {c.site: c for c in self.clients}
 
-    # -- transport
+    # -- the server
 
-    def deliver_to_client(self, site: str, message: Message, delay: float) -> None:
-        frame = encode(message)
-        client = self.by_site[site]
-        self.loop.push(delay, lambda: client.receive(frame))
+    def feed(self, event: str, *args) -> None:
+        """Run one coordinator event and execute the commands it returns."""
+        if not self.server_up:
+            return
+        for cmd in getattr(self.coordinator, event)(*args, self.loop.now):
+            if isinstance(cmd, Send):
+                frame, client = encode(cmd.message), self.by_site[cmd.site]
+                self.loop.push(cmd.delay, lambda c=client, f=frame: c.receive(f))
+            elif isinstance(cmd, SaveCheckpoint):
+                save_checkpoint(
+                    self.cfg.checkpoint_path,
+                    cmd.round_index,
+                    cmd.params,
+                    self.coordinator.config_digest,
+                )
+                self.round_globals[cmd.round_index] = cmd.params
+                self.last_progress = self.loop.now
+            elif isinstance(cmd, StartTimer):
+                self.loop.push(cmd.seconds, lambda r=cmd.round_index: self.feed("on_timeout", r))
+            elif isinstance(cmd, Finished) and self.finished is None:
+                self.finished = (cmd.status, cmd.reason)
+        if self.coordinator.phase == "collecting":
+            fault = self._take_fault(FAULT_TARGET_SERVER, self.coordinator.current_round)
+            if fault is not None:
+                self._crash_server(fault.downtime_seconds)
 
-    def notify_client_lost(self, site: str) -> None:
-        self.loop.push(0.0, lambda: self.server.feed("on_client_lost", site))
+    def deliver(self, frame: bytes) -> None:
+        if not self.server_up:
+            return
+        msg = decode(frame)
+        if msg.kind == "join_request":
+            self.feed("on_join", msg.client_id)
+        elif msg.kind == "update_submission":
+            self.feed("on_update", msg.client_id, msg.body)
+        # heartbeats and anything else carry no event
+
+    def _crash_server(self, downtime: float) -> None:
+        self.server_up = False
+        self.coordinator = None
+        for client in self.clients:
+            self.loop.push(0.0, client.on_server_down)
+        if math.isfinite(downtime):
+            self.loop.push(downtime, self._restart_server)
+
+    def _restart_server(self) -> None:
+        # Resume only from a checkpoint this run saved; a crash before the
+        # first one starts over. An unreadable checkpoint raises.
+        start_global, start_round = None, 0
+        if self.round_globals:
+            start_global, start_round = resume_from_checkpoint(
+                self.cfg.checkpoint_path, config_hash(self.cfg)
+            )
+        self.coordinator = FederationCoordinator(
+            self.cfg,
+            start_round=start_round,
+            start_global=start_global,
+            aggregation_cost=self.scenario.aggregation_cost_seconds,
+        )
+        self.server_up = True
 
     # -- faults
 
     def _take_fault(self, target: str, round_index: int) -> Optional[FaultEvent]:
         faults = self.pending_faults.get((target, round_index))
         return faults.pop(0) if faults else None
-
-    def check_server_faults(self) -> None:
-        coord = self.server.coordinator
-        if coord is None or coord.phase != "collecting":
-            return
-        fault = self._take_fault(FAULT_TARGET_SERVER, coord.current_round)
-        if fault is not None:
-            self.server.crash(fault.downtime_seconds)
 
     def intercept_task_fault(self, client: _SimClient, msg: Message) -> bool:
         """Fire a client fault when its round's task reaches the client.
@@ -414,16 +399,6 @@ class _Simulation:
         client._run(client.session.on_message(msg))
         client.drop_connection(fault.downtime_seconds)
         return True
-
-    # -- progress
-
-    def record_round_global(self, round_index: int, params: ParameterVector) -> None:
-        self.round_globals[round_index] = params
-        self.last_progress = self.loop.now
-
-    def on_finished(self, status: str, reason: str) -> None:
-        if self.finished is None:
-            self.finished = (status, reason)
 
     def run(self) -> None:
         for client in self.clients:
@@ -459,7 +434,7 @@ def simulate(scenario: SimScenario) -> SimulationReport:
         status, reason = sim.finished
     else:
         status = "hung"
-        coord = sim.server.coordinator
+        coord = sim.coordinator
         if coord is not None and coord.state is not None:
             reason = (
                 f"no progress after {sim.loop.now:.0f} virtual seconds: round "
@@ -477,7 +452,7 @@ def simulate(scenario: SimScenario) -> SimulationReport:
                 f"{coord.current_round} never opened (expected sites still absent)"
             )
 
-    coord = sim.server.coordinator
+    coord = sim.coordinator
     records = coord.records if coord is not None else []
     final_global = coord.global_params if (coord is not None and sim.round_globals) else None
     experiment = None

@@ -2,6 +2,7 @@
 import json
 import socket
 import threading
+from pathlib import Path
 
 
 from fedkit.cli import main
@@ -295,7 +296,7 @@ class TestReportCommand:
     def test_mismatched_sites_refuse_global_local_section(self, tmp_path, capsys):
         directory = self.simulate_fitted(tmp_path, "broken", 1.0)
         report_path = f"{directory}/report.json"
-        doc = json.loads(open(report_path).read())
+        doc = json.loads(Path(report_path).read_text())
         doc["local_cross"] = {"someone_else": {"basel": {"mean": 0.1, "std": 0, "metric": "mse_loss"}}}
         with open(report_path, "w") as fh:
             json.dump(doc, fh)
@@ -341,7 +342,7 @@ class TestReportCommand:
         path.write_text(json.dumps(doc))
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
         directory = str(tmp_path / "out" / "down")
-        assert "totals" not in json.loads(open(f"{directory}/report.json").read())
+        assert "totals" not in json.loads(Path(directory, "report.json").read_text())
         capsys.readouterr()
         assert main(["report", "--in", directory]) == 0
         out = capsys.readouterr().out

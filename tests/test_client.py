@@ -12,7 +12,6 @@ from fedkit import (
     Message,
     ParameterVector,
     TrainerConfig,
-    measure_train_time,
 )
 from fedkit.client import Exit, FatalJoin, SendMsg, TrainTask, parse_address
 from fedkit.protocol import Abort, JoinAck, TaskAssignment
@@ -63,35 +62,6 @@ class TestParseAddress:
         for bad in ("nohost", "host:", ":123", "host:port"):
             with pytest.raises(ConfigError):
                 parse_address(bad)
-
-
-class TestMeasureTrainTime:
-    def test_real_mode_positive(self):
-        out, seconds = measure_train_time(lambda: sum(range(10000)))
-        assert out == sum(range(10000))
-        assert seconds > 0.0
-
-    def test_simulated_exact_ratio(self):
-        _, t1 = measure_train_time(lambda: None, mode="simulated", base_cost=60.0,
-                                   compute_multiplier=1.0)
-        _, t2 = measure_train_time(lambda: None, mode="simulated", base_cost=60.0,
-                                   compute_multiplier=2.0)
-        assert t2 == 2.0 * t1
-
-    def test_paper_communication_ratios(self):
-        # round times for multipliers 4.08 : 5.47 : 1.54 land in exactly
-        # that ratio under a shared base cost
-        base = 60.0
-        times = [
-            measure_train_time(lambda: None, mode="simulated", base_cost=base,
-                               compute_multiplier=m)[1]
-            for m in (4.08, 5.47, 1.54)
-        ]
-        assert times == [base * 4.08, base * 5.47, base * 1.54]
-
-    def test_simulated_requires_base_cost(self):
-        with pytest.raises(ConfigError):
-            measure_train_time(lambda: None, mode="simulated")
 
 
 class TestClientSession:
@@ -171,10 +141,6 @@ class TestClientSession:
 
 
 class TestClientConfig:
-    def test_multiplier_positive(self):
-        with pytest.raises(ConfigError):
-            ClientConfig(site_name="x", server_address=("h", 1), compute_multiplier=0.0)
-
     def test_address_validation(self):
         with pytest.raises(ConfigError):
             ClientConfig(site_name="x", server_address=("h", 99999))

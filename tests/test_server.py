@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ class TestCheckpoint:
     def test_truncated_file(self, tmp_path):
         path = str(tmp_path / "c.json")
         save_checkpoint(path, 2, ParameterVector([1.0]), "h")
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):

@@ -1,9 +1,12 @@
 import math
+from pathlib import Path
 
 import pytest
 
+import fedkit.simulator
 from fedkit import (
     AlgorithmConfig,
+    CheckpointError,
     ConfigError,
     FaultEvent,
     FederationConfig,
@@ -86,6 +89,15 @@ class TestTiming:
         assert record.per_client["a"].waiting_seconds == 10.0
         assert record.per_client["b"].waiting_seconds == 0.0
 
+    def test_train_seconds_are_base_times_multiplier(self, tmp_path):
+        # the paper's round-time ratios 4.08 : 5.47 : 1.54 under a shared base
+        mults = {"a": 4.08, "b": 5.47, "c": 1.54}
+        report = simulate(scenario(tmp_path, mults, base=60.0, rounds=2))
+        for record in report.experiment.rounds:
+            assert {s: c.train_seconds for s, c in record.per_client.items()} == {
+                site: 60.0 * m for site, m in mults.items()
+            }
+
     def test_waiting_plus_own_constant_within_round(self, tmp_path):
         # integer-valued times make the arithmetic exact
         report = simulate(scenario(tmp_path, {"a": 58.0, "b": 34.0, "c": 48.0}, base=1.0, agg=1.0))
@@ -164,6 +176,18 @@ class TestFaultTolerance:
         assert crashed.status == "completed"
         assert crashed.reconnects >= 3
         assert crashed.final_global == plain.final_global
+
+    def test_unreadable_checkpoint_on_restart_raises(self, tmp_path, monkeypatch):
+        real_save = fedkit.simulator.save_checkpoint
+
+        def save_then_corrupt(path, *args):
+            real_save(path, *args)
+            Path(path).write_text("{")
+
+        monkeypatch.setattr(fedkit.simulator, "save_checkpoint", save_then_corrupt)
+        crash = FaultEvent(at_round=2, target="server", kind="crash", downtime_seconds=10.0)
+        with pytest.raises(CheckpointError):
+            simulate(scenario(tmp_path, {}, name="corrupt", faults=(crash,)))
 
     def test_client_disconnect_resubmits_and_is_transparent(self, tmp_path):
         plain = simulate(scenario(tmp_path, {}, rounds=5, name="r"))
