@@ -62,12 +62,7 @@ class BackoffPolicy:
 
 @dataclass(frozen=True)
 class ClientConfig:
-    """One site's runtime identity and connection behavior.
-
-    Training time is not configured here: the TCP runtime measures it on
-    the wall clock, and the simulator derives it from its scenario's
-    per-site multipliers.
-    """
+    """One site's runtime identity and connection behavior."""
 
     site_name: str
     server_address: tuple

@@ -285,11 +285,7 @@ class _SimClient:
 
 
 class _Simulation:
-    """The event loop, the server process model and the client models.
-
-    The server is the live coordinator plus an up flag: a crash drops the
-    coordinator, and a restart builds a new one from the last checkpoint.
-    """
+    """The event loop, the server process model and the client models."""
 
     def __init__(self, scenario: SimScenario):
         self.scenario = scenario
@@ -362,8 +358,8 @@ class _Simulation:
             self.loop.push(downtime, self._restart_server)
 
     def _restart_server(self) -> None:
-        # Resume only from a checkpoint this run saved; a crash before the
-        # first one starts over. An unreadable checkpoint raises.
+        # A run that has saved no checkpoint starts over; once it has, an
+        # unreadable checkpoint must raise, not silently retrain from round 0.
         start_global, start_round = None, 0
         if self.round_globals:
             start_global, start_round = resume_from_checkpoint(
