@@ -9,7 +9,6 @@ import dataclasses
 import hashlib
 import json
 import math
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +25,7 @@ from fedkit import (
     simulate,
 )
 from fedkit.params import to_json
+from fedkit.server import resume_from_checkpoint
 
 ROUNDS = 5
 SITES = ("a", "b", "c", "d")
@@ -112,13 +112,14 @@ DUPLICATE_FAULTS = (
     FaultEvent(at_round=4, target="c", kind="disconnect", downtime_seconds=5.0),
 )
 DUPLICATE_DIGESTS = {
-    "schedule_order": "b7a6c7e7dc74a136cb84912b06dce4b8113f33bb70f978a9d7d76daff6fb3a41",
-    "first_key_swapped": "74dcf7cc5ad6017d6248bf5252e0ac07c8a42a1bff7d7a62c309095cb8d9174e",
+    "schedule_order": "232f50320f779ab04fc10dc52c854ad60d84f14f4013d0da7c2fcbadc0051624",
+    "first_key_swapped": "4fb95e43188f599eb896ab6feeb7db4c2159b95386347184589ea150370c477c",
 }
 
 
 def simulation_digest(scenario):
-    """sha256 over everything simulate() returns and the final checkpoint."""
+    """sha256 over everything simulate() returns and the decoded final
+    checkpoint: the round it resumes at and its global model."""
     report = simulate(scenario)
     experiment = to_json(report.experiment)  # None when no round was reported
     if experiment is not None:
@@ -132,7 +133,9 @@ def simulation_digest(scenario):
         personal = report.personal_models[site]  # None once a crash lost it
         if personal is not None:
             digest.update(personal.values.tobytes())
-    digest.update(Path(scenario.federation.checkpoint_path).read_bytes())
+    params, next_round = resume_from_checkpoint(scenario.federation.checkpoint_path)
+    digest.update(repr(next_round).encode())
+    digest.update(params.values.tobytes())
     return digest.hexdigest()
 
 
@@ -197,11 +200,11 @@ POLICY_STATUS = {
     "ditto_client_faults": "completed",
 }
 POLICY_DIGESTS = {
-    "continue_timeout_drops": "93de149227bd76e0a7b4f4f554a78a840e73cde54c8ea3cf6ba3402620f0fda2",
-    "continue_timeout_below_quorum": "6df7edc6b5e624ed3503796c38b30fbf77235681d07062a26e711fc2f80b2ab1",
-    "wait_timeout_aborts": "b5917f350eee7714f5f011ffb664e028ffab8e93476429723013546165cde25b",
-    "late_joiner": "73da5968243caf8f7c8b128dbe4be8b55c23ce4120e8eb28287ab397e5a8632d",
-    "ditto_client_faults": "77898a880d34f724caad8b61a8d4c91e142b37693ad6aa1ab872dec983b9d2d9",
+    "continue_timeout_drops": "c754fd572aea6e134f2b7c5b942d35527c04f662e60594e63ad26f837d7370b1",
+    "continue_timeout_below_quorum": "4012a85ed113254b6d4cdd21a8984d85480bd8ba7627d15acba84e6931794bb6",
+    "wait_timeout_aborts": "edea85cfa4e2f1cc02cb86d8c2a06d0904ff8a1aaa07a240bad0aada11576cb7",
+    "late_joiner": "f906784704b7f5c2aa9397cc788d83cf9f9038708de3f3f65f95f37dbdda0e21",
+    "ditto_client_faults": "f2c72dc724da23963f00850c7b79b8ee082da7865ec1500e6a55d388d424df9e",
 }
 
 
@@ -233,8 +236,8 @@ HUNG_DIAGNOSES = {
 }
 HUNG_ROUNDS = {"server_never_back": 1, "round_never_opens": 2}
 HUNG_DIGESTS = {
-    "server_never_back": "f48f833061f42c7e89ac4c011105342b6cca4d8c51aa111cae48baef480f6c81",
-    "round_never_opens": "9d47b9f868eb1d3a3c06acc3c97899edaaa5add930b7405a421843a9dced68f3",
+    "server_never_back": "3be2d9e9a4ec2589812dc838cab5e9bddc83b618c50d97f75f24d327f5b684f6",
+    "round_never_opens": "248db6614169c0b945c88dee0a55c61259885c616d46a05233ea8aaa4e8756fc",
 }
 
 
