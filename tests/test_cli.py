@@ -5,7 +5,10 @@ import threading
 from pathlib import Path
 
 
+from fedkit import server
 from fedkit.cli import main
+from fedkit.config import load_config
+from fedkit.server import config_hash
 from fedkit.metrics import report_from_dict, report_to_dict
 
 SITES = ("basel", "freiburg", "strasbourg")
@@ -52,6 +55,16 @@ class TestServerCommand:
         code = main(["server", "--config", path, "--listen", "127.0.0.1:0", "--resume"])
         assert code == 3
         assert "checkpoint" in capsys.readouterr().err.lower()
+
+    def test_resume_from_malformed_checkpoint_exits_3(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        doc = {"format": "fedkit-checkpoint-v2", "round": 0, "global": [10**400],
+               "config_hash": config_hash(load_config(path).federation)}
+        record = server._record(0, json.dumps(doc).encode(), doc["config_hash"])
+        server._write_fresh(str(tmp_path / "ckpt.json"), record, 4096, 0)
+        code = main(["server", "--config", path, "--listen", "127.0.0.1:0", "--resume"])
+        assert code == 3
+        assert "invalid parameters" in capsys.readouterr().err
 
     def test_startup_timeout_exits_3(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -20,6 +20,7 @@ from fedkit import (
     handle_client_loss,
     resume_from_checkpoint,
 )
+from fedkit import server
 from fedkit.server import (
     ABORT,
     DROP_FOR_ROUND,
@@ -33,6 +34,12 @@ from fedkit.server import (
     evaluate_sites,
     save_checkpoint,
 )
+
+
+def write_checkpoint_document(path, doc, round_index=0, cfg_hash="x"):
+    """A checkpoint file whose slot passes its checksum but holds ``doc``."""
+    record = server._record(round_index, json.dumps(doc).encode(), cfg_hash)
+    server._write_fresh(path, record, server._slot_size(1, len(record)), round_index)
 
 
 def make_cfg(tmp_path, sites=("a", "b", "c"), rounds=3, **kw):
@@ -97,7 +104,6 @@ class TestCheckpoint:
         got, next_round = resume_from_checkpoint(path, "h" * 64)
         assert got == params
         assert next_round == 8  # resume re-broadcasts round 8's task
-        assert not os.path.exists(path + ".tmp")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -120,12 +126,98 @@ class TestCheckpoint:
 
     def test_non_finite_values_rejected(self, tmp_path):
         path = str(tmp_path / "c.json")
-        doc = {"format": "fedkit-checkpoint-v1", "round": 0, "global": [1.0, None],
+        doc = {"format": "fedkit-checkpoint-v2", "round": 0, "global": [1.0, None],
                "config_hash": "x"}
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        with pytest.raises(CheckpointError):
+        write_checkpoint_document(path, doc)
+        with pytest.raises(CheckpointError, match="non-finite"):
             resume_from_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("config_hash", 5, "invalid config hash"),
+        ("global", ["a"], "invalid parameters"),
+        ("global", {"a": 1}, "invalid parameters"),
+        ("global", [10**400], "invalid parameters"),
+        ("round", True, "invalid round"),
+    ])
+    def test_malformed_document_rejected(self, tmp_path, key, value, message):
+        path = str(tmp_path / "c.json")
+        doc = {"format": "fedkit-checkpoint-v2", "round": 0, "global": [1.0],
+               "config_hash": "x"}
+        write_checkpoint_document(path, doc)
+        assert resume_from_checkpoint(path) == (ParameterVector([1.0]), 1)
+        write_checkpoint_document(path, dict(doc, **{key: value}))
+        with pytest.raises(CheckpointError, match=message):
+            resume_from_checkpoint(path)
+
+    def test_v1_file_refused_naming_both_formats(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"format": "fedkit-checkpoint-v1", "round": 0,
+                                    "global": [1.0], "config_hash": "x"}))
+        with pytest.raises(CheckpointError, match="v1.*fedkit-checkpoint-v2"):
+            resume_from_checkpoint(str(path))
+
+    def test_torn_write_resumes_the_previous_round(self, tmp_path):
+        path = str(tmp_path / "c.json")
+        models = [ParameterVector([0.5 * r, -1.0, r + 0.25]) for r in range(4)]
+        for r in range(3):
+            save_checkpoint(path, r, models[r], "h")
+        before = Path(path).read_bytes()
+        slot = len(before) // 2
+        # Round 3's record, exactly as save_checkpoint writes it over slot 1.
+        save_checkpoint(path, 3, models[3], "h")
+        header = server._FIELDS.unpack_from(Path(path).read_bytes(), slot)
+        record = Path(path).read_bytes()[slot:slot + server._HEADER_SIZE + header[2] + 1]
+        for written in range(len(record) + 1):
+            Path(path).write_bytes(before)
+            with open(path, "r+b") as fh:
+                fh.seek(slot)
+                fh.write(record[:written])
+            expected = (models[3], 4) if written == len(record) else (models[2], 3)
+            assert resume_from_checkpoint(path, "h") == expected, written
+
+    def test_both_slots_corrupt(self, tmp_path):
+        path = str(tmp_path / "c.json")
+        save_checkpoint(path, 0, ParameterVector([1.0]), "h")
+        save_checkpoint(path, 1, ParameterVector([2.0]), "h")
+        blob = bytearray(Path(path).read_bytes())
+        for offset in (0, len(blob) // 2):
+            blob[offset + server._HEADER_SIZE + 3] ^= 0xFF  # a payload byte
+        Path(path).write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum"):
+            resume_from_checkpoint(path)
+
+    def test_steady_state_saves_overwrite_in_place(self, tmp_path):
+        path = tmp_path / "c.json"
+        save_checkpoint(str(path), 0, ParameterVector([0.0]), "h")
+        # Holding the file open keeps its inode number from being reused.
+        with open(path, "rb") as held:
+            for r in range(1, 4):
+                save_checkpoint(str(path), r, ParameterVector([float(r)]), "h")
+                assert os.stat(path).st_ino == os.fstat(held.fileno()).st_ino, r
+                assert os.fstat(held.fileno()).st_nlink == 1, r
+                assert os.listdir(tmp_path) == ["c.json"], r
+        assert resume_from_checkpoint(str(path), "h") == (ParameterVector([3.0]), 4)
+
+    def test_first_save_replaces_an_earlier_runs_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        save_checkpoint(str(path), 7, ParameterVector([7.0]), "h")
+        save_checkpoint(str(path), 8, ParameterVector([8.0]), "h")
+        with open(path, "rb") as held:
+            save_checkpoint(str(path), 0, ParameterVector([0.5]), "h")
+            assert os.fstat(held.fileno()).st_nlink == 0
+        assert os.listdir(tmp_path) == ["c.json"]
+        assert resume_from_checkpoint(str(path), "h") == (ParameterVector([0.5]), 1)
+
+    def test_in_place_save_falls_back_to_fsync(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "c.json")
+        save_checkpoint(path, 0, ParameterVector([1.0]), "h")
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.delattr(os, "fdatasync", raising=False)
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+        save_checkpoint(path, 1, ParameterVector([2.0]), "h")
+        assert len(synced) == 1
+        assert resume_from_checkpoint(path, "h") == (ParameterVector([2.0]), 2)
 
 
 class TestHandleClientLoss:
