@@ -236,9 +236,9 @@ def save_checkpoint(path: str, round_index: int, params: ParameterVector, cfg_ha
     one ``fdatasync``: no new file, no rename. Otherwise (first save, a
     start-over, another run's file) a fresh file is written under a unique
     temporary name, fsynced, renamed over the target, and its directory is
-    fsynced. A crash at any byte boundary leaves a slot that either passes
-    its checksum or not, so resume finds the old or the new round, never a
-    torn one."""
+    fsynced. A crash at any byte boundary leaves the slot being written
+    either complete or failing its checksum, so resume finds the previous
+    round or the new one, never a torn one."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "round": round_index,
@@ -334,9 +334,8 @@ def _newest_payload(path: str, fd: int) -> bytes:
         header = os.pread(fd, _HEADER_SIZE, offset)
         magic, round_index, length, _ = _FIELDS.unpack_from(header)
         if magic == _MAGIC and _HEADER_SIZE + length < slot:
-            headers.append((round_index, offset, header))
-    for _, offset, header in sorted(headers, reverse=True):
-        length = _FIELDS.unpack_from(header)[2]
+            headers.append((round_index, offset, length, header))
+    for _, offset, length, header in sorted(headers, reverse=True):
         body = os.pread(fd, length + 1, offset + _HEADER_SIZE)  # payload and seal
         checksum = hashlib.sha256(header[: _FIELDS.size])
         checksum.update(body)
@@ -380,8 +379,6 @@ def resume_from_checkpoint(
             f"checkpoint {path} belongs to a different experiment config "
             f"({doc['config_hash'][:12]}… vs {expected_config_hash[:12]}…)"
         )
-    if not isinstance(doc["global"], list):
-        raise CheckpointError(f"checkpoint {path} has invalid parameters: not a list")
     try:
         params = ParameterVector(doc["global"])
     except (FedkitError, TypeError, ValueError, OverflowError) as exc:
