@@ -174,6 +174,11 @@ POLICY_SCENARIOS = {
         multipliers=SLOW_C, min_clients_per_round=2, **CONTINUE,
         faults=(FaultEvent(at_round=3, target="a", kind="crash", downtime_seconds=100.0),),
     ),
+    # b never comes back; dropping it leaves 2 sites under a quorum of 3.
+    "continue_loss_below_quorum": dict(
+        on_client_loss="continue_without", min_clients_per_round=3,
+        faults=(FaultEvent(at_round=2, target="b", kind="crash", downtime_seconds=math.inf),),
+    ),
     "wait_timeout_aborts": dict(
         round_timeout_seconds=30.0,
         faults=(FaultEvent(at_round=2, target="c", kind="disconnect", downtime_seconds=100.0),),
@@ -195,6 +200,7 @@ POLICY_SCENARIOS = {
 POLICY_STATUS = {
     "continue_timeout_drops": "completed",
     "continue_timeout_below_quorum": "aborted",
+    "continue_loss_below_quorum": "aborted",
     "wait_timeout_aborts": "aborted",
     "late_joiner": "completed",
     "ditto_client_faults": "completed",
@@ -202,6 +208,7 @@ POLICY_STATUS = {
 POLICY_DIGESTS = {
     "continue_timeout_drops": "c754fd572aea6e134f2b7c5b942d35527c04f662e60594e63ad26f837d7370b1",
     "continue_timeout_below_quorum": "4012a85ed113254b6d4cdd21a8984d85480bd8ba7627d15acba84e6931794bb6",
+    "continue_loss_below_quorum": "73373b0d99f1d1a8cf052efbb6ccf329050ee4b2ba1d394eb16566ad6030390c",
     "wait_timeout_aborts": "edea85cfa4e2f1cc02cb86d8c2a06d0904ff8a1aaa07a240bad0aada11576cb7",
     "late_joiner": "f906784704b7f5c2aa9397cc788d83cf9f9038708de3f3f65f95f37dbdda0e21",
     "ditto_client_faults": "f2c72dc724da23963f00850c7b79b8ee082da7865ec1500e6a55d388d424df9e",

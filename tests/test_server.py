@@ -337,6 +337,19 @@ class TestCoordinator:
         aborts = sends_of(cmds, "abort")
         assert [a.site for a in aborts] == ["a"]
 
+    def test_continue_without_loss_after_submitting_keeps_quorum(self, tmp_path):
+        cfg = make_cfg(tmp_path, sites=("a", "b"), on_client_loss="continue_without",
+                       min_clients_per_round=2)
+        coord = FederationCoordinator(cfg)
+        self.join_all(coord, sites=("a", "b"))
+        coord.on_update("a", update_for("a", 0, (1.0, 1.0)), 1.0)
+        assert coord.on_client_lost("a", 1.5) == []
+        assert coord.status is None
+        cmds = coord.on_update("b", update_for("b", 0, (3.0, 3.0)), 2.0)
+        assert any(isinstance(c, SaveCheckpoint) for c in cmds)
+        assert coord.global_params == ParameterVector([2.0, 2.0])
+        assert coord.records[0].per_client["a"].submitted is True
+
     def test_timeout_under_wait_aborts(self, tmp_path):
         cfg = make_cfg(tmp_path, round_timeout_seconds=10.0)
         coord = FederationCoordinator(cfg)
