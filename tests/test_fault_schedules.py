@@ -4,6 +4,9 @@ Under ``wait`` every fault with a finite downtime preserves the quorum, so
 any such schedule of server crashes, client crashes and disconnects must
 end in the fault-free run's global model, bit for bit. Ditto personal
 models of sites whose process never crashed must match too.
+
+Under ``continue_without`` dropped sites change the model, so the oracle
+is each round recomputed from the sites its record lists as submitted.
 """
 import dataclasses
 import hashlib
@@ -22,10 +25,14 @@ from fedkit import (
     SimScenario,
     SiteSpec,
     TrainerConfig,
+    federated_average,
+    generate_site_data,
+    local_train,
     simulate,
 )
 from fedkit.params import to_json
 from fedkit.server import resume_from_checkpoint
+from fedkit.training import initial_global
 
 ROUNDS = 5
 SITES = ("a", "b", "c", "d")
@@ -99,6 +106,58 @@ def test_any_quorum_preserving_schedule_is_transparent(checkpoints, fault_free, 
         if site not in crashed:
             assert faulted.personal_models[site] == plain.personal_models[site], site
 
+
+ALGORITHMS = (AlgorithmConfig(), AlgorithmConfig(kind="fedprox", prox_mu=0.3), DITTO)
+
+
+@st.composite
+def continue_without_runs(draw):
+    """3-4 sites, any quorum, an optional timeout and up to four client
+    faults whose downtime may be infinite. No server crashes: a report
+    covers only the rounds since the last restart."""
+    site_count = draw(st.integers(3, 4))
+    client = st.builds(FaultEvent, at_round=st.integers(0, ROUNDS - 1),
+                       target=st.sampled_from(SITES[:site_count]),
+                       kind=st.sampled_from(["crash", "disconnect"]),
+                       downtime_seconds=st.sampled_from([0.0, 4.0, 12.5, 40.0, 95.0, math.inf]))
+    return site_count, dict(
+        algorithm=draw(st.sampled_from(ALGORITHMS)),
+        on_client_loss="continue_without",
+        min_clients_per_round=draw(st.integers(1, site_count)),
+        round_timeout_seconds=draw(st.sampled_from([None, 30.0, 45.0])),
+    ), tuple(draw(st.lists(client, max_size=4)))
+
+
+@given(run=continue_without_runs())
+@settings(max_examples=100, deadline=None)
+def test_continue_without_rounds_average_exactly_the_submitted_sites(checkpoints, run):
+    site_count, federation, faults = run
+    base = make_scenario(checkpoints, site_count, faults, name="continue")
+    cfg = dataclasses.replace(base.federation, **federation)
+    report = simulate(dataclasses.replace(base, federation=cfg))
+    assert report.status in ("completed", "aborted"), report.diagnosis
+    if report.status == "aborted":
+        assert "quorum" in report.diagnosis
+    else:
+        assert len(report.round_globals) == cfg.rounds
+    records = report.experiment.rounds if report.experiment is not None else []
+    assert [r.round for r in records] == list(range(len(report.round_globals)))
+    previous = initial_global(cfg.trainer, cfg.heterogeneity)
+    for record, aggregated in zip(records, report.round_globals):
+        submitted = [s for s in cfg.site_names
+                     if s in record.per_client and record.per_client[s].submitted]
+        assert len(submitted) >= cfg.min_clients_per_round
+        updates = []
+        for site in submitted:
+            index = cfg.site_index(site)
+            data = generate_site_data(cfg.site_heterogeneity(index), index, cfg.trainer.seed,
+                                      task=cfg.trainer.trainer)
+            updates.append(local_train(previous, data, cfg.trainer, cfg.algorithm,
+                                       w_global=previous, client_id=site,
+                                       round_index=record.round))
+        expected = federated_average(updates, cfg.algorithm.weighting)
+        assert aggregated.values.tobytes() == expected.values.tobytes(), record.round
+        previous = aggregated
 
 # Two faults at each of three (target, round) keys; a key's faults fire in
 # schedule order. The digests pin simulate()'s output for this schedule, and
