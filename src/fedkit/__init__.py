@@ -65,7 +65,6 @@ from .server import (
     FederationServer,
     RoundState,
     SiteSpec,
-    handle_client_loss,
     resume_from_checkpoint,
 )
 from .simulator import FaultEvent, SimScenario, SimulationReport, simulate, speedup

@@ -30,7 +30,7 @@ from .errors import (
     StartupError,
 )
 from .params import to_json
-from .server import FederationServer, resume_from_checkpoint, config_hash
+from .server import FederationServer
 from .simulator import SimScenario, SimulationReport, simulate, speedup
 
 EXIT_OK = 0
@@ -54,16 +54,13 @@ def cmd_server(args) -> int:
         _err(str(exc))
         return EXIT_CONFIG
     cfg = document.federation
-    if args.resume:
-        try:
-            resume_from_checkpoint(cfg.checkpoint_path, config_hash(cfg))
-        except CheckpointError as exc:
-            _err(str(exc))
-            return EXIT_STARTUP
     try:
         server = FederationServer(
             cfg, listen, resume=args.resume, startup_timeout=args.startup_timeout
         )
+    except CheckpointError as exc:
+        _err(str(exc))
+        return EXIT_STARTUP
     except OSError as exc:
         _err(f"cannot listen on {listen[0]}:{listen[1]}: {exc}")
         return EXIT_STARTUP

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import IoError, ReportError
-from .params import EvalScore, ParameterVector, field_names, from_json, to_json
+from .params import EvalScore, ParameterVector, from_json, to_json
 
 
 @dataclass(frozen=True)
@@ -178,46 +178,11 @@ def export_csv(report: ExperimentReport, path: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def read_csv_records(path: str) -> list[RoundRecord]:
-    """Parse a file written by :func:`export_csv` back into round records."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader, ()))
-            if header != CSV_HEADER:
-                raise ReportError(f"unexpected CSV header {header}")
-            rows = list(reader)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    by_round: dict = {}
-    agg: dict = {}
-    for row in rows:
-        if len(row) != len(CSV_HEADER):
-            raise ReportError(f"malformed CSV row: {row}")
-        round_index = int(row[0])
-        by_round.setdefault(round_index, {})[row[1]] = ClientRoundStat(
-            train_seconds=float(row[2]),
-            waiting_seconds=float(row[3]),
-            submitted=row[5] == "true",
-        )
-        agg[round_index] = float(row[4])
-    return [
-        RoundRecord(round=r, per_client=by_round[r], aggregation_seconds=agg[r])
-        for r in sorted(by_round)
-    ]
-
-
 # --- report (de)serialization -------------------------------------------------
 
 def report_to_dict(report: ExperimentReport, **extras) -> dict:
     """The report as a JSON-ready document; ``extras`` become extra top-level keys."""
     return {**to_json(report), **to_json(extras)}
-
-
-def report_from_dict(doc: dict) -> ExperimentReport:
-    """The inverse of :func:`report_to_dict`; extra top-level keys are ignored."""
-    fields = {key: doc[key] for key in field_names(ExperimentReport) if key in doc}
-    return from_json(ExperimentReport, fields, lambda key, why: ReportError(f"{key}: {why}"), "report")
 
 
 def report_totals(doc: dict, source: str = "report") -> Totals:

@@ -28,7 +28,7 @@ import struct
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .aggregation import AlgorithmConfig, federated_average
 from .errors import (
@@ -63,11 +63,6 @@ from .training import (
 logger = logging.getLogger(__name__)
 
 LOSS_POLICIES = ("wait", "continue_without")
-
-# handle_client_loss decisions
-WAIT = "wait"
-DROP_FOR_ROUND = "drop_for_round"
-ABORT = "abort"
 
 CHECKPOINT_FORMAT = "fedkit-checkpoint-v2"
 
@@ -386,7 +381,7 @@ def resume_from_checkpoint(
     return params, round_index + 1
 
 
-# --- round state and loss policy --------------------------------------------
+# --- round state -------------------------------------------------------------
 
 
 @dataclass
@@ -398,19 +393,6 @@ class RoundState:
     pending: set = field(default_factory=set)
     arrivals: dict = field(default_factory=dict)
     dropped: set = field(default_factory=set)
-
-
-def handle_client_loss(state: RoundState, lost: str, cfg: FederationConfig) -> str:
-    """Decide what the loss of ``lost`` means for the current round.
-
-    wait policy: block the round until the client rejoins (or the round
-    timeout fires). continue_without: drop the client for this round if the
-    remaining participants still meet the quorum, otherwise abort.
-    """
-    if cfg.on_client_loss == "wait":
-        return WAIT
-    remaining = set(state.received) | (state.pending - {lost})
-    return DROP_FOR_ROUND if len(remaining) >= cfg.min_clients_per_round else ABORT
 
 
 # --- coordinator commands ----------------------------------------------------
@@ -435,19 +417,12 @@ class StartTimer:
     seconds: float
 
 
-@dataclass(frozen=True)
-class Finished:
-    status: str  # completed | aborted
-    reason: str = ""
-
-
-Command = Union[Send, SaveCheckpoint, StartTimer, Finished]
-
-
 class FederationCoordinator:
     """The round state machine, shared by the TCP runtime and the simulator.
 
-    Feed events, execute the returned commands. ``aggregation_cost`` fixes
+    Feed events, execute the returned commands. The coordinator alone applies
+    the loss policy and ends the run: runtimes read ``status`` (None until
+    completed or aborted) and ``abort_reason``. ``aggregation_cost`` fixes
     the reported aggregation time (virtual-time runtimes); when None the
     coordinator measures its own aggregation wall time.
     """
@@ -541,8 +516,9 @@ class FederationCoordinator:
 
     def on_client_lost(self, site: str, now: float) -> list:
         self._connected.discard(site)
-        if self._state is not None and site in self._state.pending:
-            return self._apply_loss(site, now)
+        st = self._state
+        if st is not None and site in st.pending:
+            return self._drop([site], now, f"lost {site!r} below quorum in round {st.round}")
         return []
 
     def on_timeout(self, round_index: int, now: float) -> list:
@@ -551,12 +527,7 @@ class FederationCoordinator:
             return []
         if self.cfg.on_client_loss == "wait":
             return self._abort(f"round {round_index} timed out waiting for {sorted(st.pending)}")
-        for site in sorted(st.pending):
-            st.pending.discard(site)
-            st.dropped.add(site)
-        if len(st.received) >= self.cfg.min_clients_per_round:
-            return self._complete_round(now)
-        return self._abort(f"round {round_index} timed out below quorum")
+        return self._drop(sorted(st.pending), now, f"round {round_index} timed out below quorum")
 
     # -- internals
 
@@ -602,23 +573,30 @@ class FederationCoordinator:
         # apply the loss policy right away instead of waiting to notice.
         for site in self._site_order:
             if site in participants and site not in self._connected:
-                cmds += self._apply_loss(site, now)
+                cmds += self._drop(
+                    [site], now, f"lost {site!r} below quorum in round {self._round}"
+                )
                 if self._state is None:
                     break
         return cmds
 
-    def _apply_loss(self, site: str, now: float) -> list:
-        decision = handle_client_loss(self._state, site, self.cfg)
-        if decision == WAIT:
+    def _drop(self, sites: list, now: float, reason: str) -> list:
+        """The loss policy for ``sites``, pending in the open round. Under
+        wait the round keeps waiting for them. Under continue_without they
+        are dropped for the round, which aborts with ``reason`` once the
+        quorum is out of reach and completes once nobody is pending."""
+        if self.cfg.on_client_loss == "wait":
             return []
-        if decision == DROP_FOR_ROUND:
-            logger.info("dropping %s for round %d", site, self._state.round)
-            self._state.pending.discard(site)
-            self._state.dropped.add(site)
-            if not self._state.pending:
-                return self._complete_round(now)
-            return []
-        return self._abort(f"lost {site!r} below quorum in round {self._state.round}")
+        st = self._state
+        for site in sites:
+            logger.info("dropping %s for round %d", site, st.round)
+            st.pending.discard(site)
+            st.dropped.add(site)
+        if len(st.received) + len(st.pending) < self.cfg.min_clients_per_round:
+            return self._abort(reason)
+        if not st.pending:
+            return self._complete_round(now)
+        return []
 
     def _complete_round(self, now: float) -> list:
         st = self._state
@@ -655,14 +633,14 @@ class FederationCoordinator:
         if self._round < self.cfg.rounds:
             return cmds + self._open_round(now, delay=delay)
         self.status = "completed"
-        return cmds + self._close_all(delay) + [Finished("completed")]
+        return cmds + self._close_all(delay)
 
     def _abort(self, reason: str) -> list:
         logger.warning("aborting experiment: %s", reason)
         self.status = "aborted"
         self.abort_reason = reason
         self._state = None
-        return self._close_all(delay=0.0) + [Finished("aborted", reason)]
+        return self._close_all(delay=0.0)
 
     def _close_all(self, delay: float) -> list:
         return [self._closing_message(s, delay) for s in self._site_order if s in self._connected]
@@ -746,7 +724,8 @@ class FederationServer:
     and executes the returned commands. A connection costs a socket and a
     frame decoder, no thread. ``stop()`` abandons the run from any thread
     (for restart tests and operator interrupts) and takes effect within
-    one poll; a later server can resume from the checkpoint.
+    one poll. A later server built with ``resume=True`` reads the checkpoint
+    before it binds the port, so a CheckpointError leaves the port free.
     """
 
     def __init__(
@@ -758,7 +737,15 @@ class FederationServer:
         startup_timeout: float = 30.0,
     ):
         self.cfg = cfg
-        self._resume = resume
+        start_round, start_global = 0, None
+        if resume:
+            start_global, start_round = resume_from_checkpoint(
+                cfg.checkpoint_path, config_hash(cfg)
+            )
+            logger.info("resuming from checkpoint at round %d", start_round)
+        self._coordinator = FederationCoordinator(
+            cfg, start_round=start_round, start_global=start_global
+        )
         self._startup_timeout = startup_timeout
         self._stopped = False
         self._connections: dict = {}  # site -> the _Connection that owns it
@@ -767,9 +754,7 @@ class FederationServer:
         self.address = self._listener.getsockname()[:2]
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
-        self._coordinator: Optional[FederationCoordinator] = None
         self._timer: Optional[tuple] = None  # (round_index, monotonic deadline)
-        self._finished: Optional[Finished] = None
         self._any_join = False
 
     # -- lifecycle
@@ -782,22 +767,13 @@ class FederationServer:
         up on quorum.
         """
         try:
-            start_round, start_global = 0, None
-            if self._resume:
-                start_global, start_round = resume_from_checkpoint(
-                    self.cfg.checkpoint_path, config_hash(self.cfg)
-                )
-                logger.info("resuming from checkpoint at round %d", start_round)
-            self._coordinator = FederationCoordinator(
-                self.cfg, start_round=start_round, start_global=start_global
-            )
             if not self._serve():
                 return None
         finally:
             self._shutdown()
-        if self._finished.status == "aborted":
-            raise ExperimentAborted(self._finished.reason)
         coordinator = self._coordinator
+        if coordinator.status == "aborted":
+            raise ExperimentAborted(coordinator.abort_reason)
         t0 = time.perf_counter()
         final_scores = evaluate_sites(self.cfg, coordinator.global_params)
         validate_seconds = time.perf_counter() - t0
@@ -817,7 +793,7 @@ class FederationServer:
     def _serve(self) -> bool:
         """Run the loop until the coordinator finishes (True) or stop() (False)."""
         started = time.monotonic()
-        while self._finished is None:
+        while self._coordinator.status is None:
             if self._stopped:
                 return False
             timeout = POLL_SECONDS
@@ -829,7 +805,7 @@ class FederationServer:
                 round_index, self._timer = self._timer[0], None
                 self._execute(self._coordinator.on_timeout(round_index, now))
             for key, _mask in ready:
-                if self._finished is not None:
+                if self._coordinator.status is not None:
                     break
                 if key.data is None:
                     self._accept()
@@ -856,7 +832,7 @@ class FederationServer:
                 raise ConnectionError("end of stream")
             for msg in conn.decoder.feed(chunk):
                 self._dispatch(conn, msg)
-                if self._finished is not None:
+                if self._coordinator.status is not None:
                     return
             if conn.site is None and conn.decoder.pending_bytes > PREJOIN_BUFFER_BYTES:
                 raise ProtocolError(
@@ -908,8 +884,6 @@ class FederationServer:
                 )
             elif isinstance(cmd, StartTimer):
                 self._timer = (cmd.round_index, time.monotonic() + cmd.seconds)
-            elif isinstance(cmd, Finished):
-                self._finished = cmd
 
     def _send(self, cmd: Send) -> None:
         conn = self._connections.get(cmd.site)

@@ -39,7 +39,6 @@ from .protocol import Message, decode, encode
 from .server import (
     FederationConfig,
     FederationCoordinator,
-    Finished,
     SaveCheckpoint,
     Send,
     StartTimer,
@@ -297,7 +296,6 @@ class _Simulation:
         self.no_progress_seconds = max(DEFAULT_NO_PROGRESS_SECONDS, 100.0 * round_scale)
         self.round_globals: dict = {}
         self.connect_events = 0
-        self.finished: Optional[tuple] = None  # (status, reason)
         self.last_progress = 0.0
         self.pending_faults: dict = {}  # (target, round) -> faults in schedule order
         for fault in scenario.faults:
@@ -332,8 +330,6 @@ class _Simulation:
                 self.last_progress = self.loop.now
             elif isinstance(cmd, StartTimer):
                 self.loop.push(cmd.seconds, lambda r=cmd.round_index: self.feed("on_timeout", r))
-            elif isinstance(cmd, Finished) and self.finished is None:
-                self.finished = (cmd.status, cmd.reason)
         if self.coordinator.phase == "collecting":
             fault = self._take_fault(FAULT_TARGET_SERVER, self.coordinator.current_round)
             if fault is not None:
@@ -399,7 +395,8 @@ class _Simulation:
     def run(self) -> None:
         for client in self.clients:
             client._start_reconnect()
-        while self.finished is None:
+        # A down server (no coordinator) has not finished the run.
+        while self.coordinator is None or self.coordinator.status is None:
             fn = self.loop.pop()
             if fn is None:
                 break
@@ -426,29 +423,22 @@ def simulate(scenario: SimScenario) -> SimulationReport:
     sim = _Simulation(scenario)
     sim.run()
 
-    if sim.finished is not None:
-        status, reason = sim.finished
-    else:
-        status = "hung"
-        coord = sim.coordinator
-        if coord is not None and coord.state is not None:
-            reason = (
-                f"no progress after {sim.loop.now:.0f} virtual seconds: round "
-                f"{coord.current_round} still waiting on {sorted(coord.state.pending)} "
-                f"under policy {cfg.on_client_loss!r}"
-            )
-        elif coord is None:
-            reason = (
-                f"no progress after {sim.loop.now:.0f} virtual seconds: "
-                f"the server went down and never came back"
-            )
-        else:
-            reason = (
-                f"no progress after {sim.loop.now:.0f} virtual seconds: round "
-                f"{coord.current_round} never opened (expected sites still absent)"
-            )
-
     coord = sim.coordinator
+    stalled = f"no progress after {sim.loop.now:.0f} virtual seconds: "
+    if coord is None:
+        status, reason = "hung", stalled + "the server went down and never came back"
+    elif coord.status is not None:
+        status, reason = coord.status, coord.abort_reason
+    elif coord.state is not None:
+        status, reason = "hung", stalled + (
+            f"round {coord.current_round} still waiting on {sorted(coord.state.pending)} "
+            f"under policy {cfg.on_client_loss!r}"
+        )
+    else:
+        status, reason = "hung", stalled + (
+            f"round {coord.current_round} never opened (expected sites still absent)"
+        )
+
     records = coord.records if coord is not None else []
     final_global = coord.global_params if (coord is not None and sim.round_globals) else None
     experiment = None

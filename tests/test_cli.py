@@ -9,7 +9,9 @@ from fedkit import server
 from fedkit.cli import main
 from fedkit.config import load_config
 from fedkit.server import config_hash
-from fedkit.metrics import report_from_dict, report_to_dict
+from fedkit.errors import ReportError
+from fedkit.metrics import ExperimentReport, report_to_dict
+from fedkit.params import from_json
 
 SITES = ("basel", "freiburg", "strasbourg")
 
@@ -248,8 +250,9 @@ class TestSimulateCommand:
         doc = json.loads((tmp_path / "out" / "rt" / "report.json").read_text())
         extras = {"diagnosis", "reconnects", "virtual_seconds", "local_cross", "personal_models"}
         assert extras <= set(doc)
-        again = report_to_dict(report_from_dict(doc))
-        assert again == {key: value for key, value in doc.items() if key not in extras}
+        report = {key: value for key, value in doc.items() if key not in extras}
+        again = from_json(ExperimentReport, report, lambda key, why: ReportError(f"{key}: {why}"))
+        assert report_to_dict(again) == report
 
 
 class TestReportCommand:

@@ -12,6 +12,7 @@ import pytest
 from fedkit import (
     AlgorithmConfig,
     BackoffPolicy,
+    CheckpointError,
     ClientConfig,
     FederationConfig,
     FederationServer,
@@ -265,6 +266,14 @@ class TestServerRestart:
                 pass
             time.sleep(0.02)
         raise AssertionError("checkpoint never reached the requested round")
+
+    def test_failed_resume_leaves_the_port_free(self, tmp_path):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            address = probe.getsockname()
+        with pytest.raises(CheckpointError, match="no checkpoint"):
+            FederationServer(make_cfg(tmp_path), address, resume=True)
+        socket.create_server(address).close()  # raises if the port were held
 
     def test_restart_resumes_and_matches_uninterrupted_run(self, tmp_path):
         # enough rounds that the stop lands mid-experiment on loopback

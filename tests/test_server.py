@@ -17,16 +17,10 @@ from fedkit import (
     ParameterVector,
     SiteSpec,
     TrainerConfig,
-    handle_client_loss,
     resume_from_checkpoint,
 )
 from fedkit import server
 from fedkit.server import (
-    ABORT,
-    DROP_FOR_ROUND,
-    WAIT,
-    Finished,
-    RoundState,
     SaveCheckpoint,
     Send,
     StartTimer,
@@ -220,30 +214,6 @@ class TestCheckpoint:
         assert resume_from_checkpoint(path, "h") == (ParameterVector([2.0]), 2)
 
 
-class TestHandleClientLoss:
-    def test_wait_policy_waits(self, tmp_path):
-        cfg = make_cfg(tmp_path, on_client_loss="wait")
-        state = RoundState(round=0, pending={"a", "b", "c"})
-        assert handle_client_loss(state, "a", cfg) == WAIT
-
-    def test_drop_when_quorum_holds(self, tmp_path):
-        cfg = make_cfg(tmp_path, on_client_loss="continue_without", min_clients_per_round=2)
-        state = RoundState(round=0, pending={"a", "b", "c"})
-        assert handle_client_loss(state, "a", cfg) == DROP_FOR_ROUND
-
-    def test_abort_when_quorum_violated(self, tmp_path):
-        cfg = make_cfg(tmp_path, sites=("a", "b"), on_client_loss="continue_without",
-                       min_clients_per_round=2)
-        state = RoundState(round=0, pending={"a", "b"})
-        assert handle_client_loss(state, "a", cfg) == ABORT
-
-    def test_received_client_loss_does_not_violate_quorum(self, tmp_path):
-        cfg = make_cfg(tmp_path, sites=("a", "b"), on_client_loss="continue_without",
-                       min_clients_per_round=2)
-        state = RoundState(round=0, received={"a": update_for("a", 0)}, pending={"b"})
-        assert handle_client_loss(state, "a", cfg) == DROP_FOR_ROUND
-
-
 class TestCoordinator:
     def join_all(self, coord, sites=("a", "b", "c"), at=0.0):
         cmds = []
@@ -332,8 +302,7 @@ class TestCoordinator:
         coord = FederationCoordinator(cfg)
         self.join_all(coord, sites=("a", "b"))
         cmds = coord.on_client_lost("b", 1.0)
-        finished = [c for c in cmds if isinstance(c, Finished)]
-        assert finished and finished[0].status == "aborted"
+        assert coord.status == "aborted"
         aborts = sends_of(cmds, "abort")
         assert [a.site for a in aborts] == ["a"]
 
@@ -356,9 +325,8 @@ class TestCoordinator:
         cmds = self.join_all(coord)
         assert any(isinstance(c, StartTimer) for c in cmds)
         coord.on_update("a", update_for("a", 0), 1.0)
-        cmds = coord.on_timeout(0, 11.0)
-        finished = [c for c in cmds if isinstance(c, Finished)]
-        assert finished and finished[0].status == "aborted"
+        coord.on_timeout(0, 11.0)
+        assert coord.status == "aborted"
 
     def test_timeout_under_continue_drops_stragglers(self, tmp_path):
         cfg = make_cfg(tmp_path, on_client_loss="continue_without", min_clients_per_round=1,
@@ -386,8 +354,7 @@ class TestCoordinator:
             coord.on_update(s, update_for(s, 0), 1.0)
         cmds = coord.on_update("c", update_for("c", 0), 1.0)
         assert sends_of(cmds, "experiment_done")
-        finished = [c for c in cmds if isinstance(c, Finished)]
-        assert finished and finished[0].status == "completed"
+        assert coord.status == "completed"
         assert coord.phase == "finished"
 
     def with_late_site(self, cfg):
@@ -463,10 +430,9 @@ class TestCoordinator:
         )
         coord = FederationCoordinator(cfg)
         coord.on_join("a", 0.0)
-        cmds = coord.on_join("b", 0.0)
-        finished = [c for c in cmds if isinstance(c, Finished)]
-        assert finished and finished[0].status == "aborted"
-        assert "quorum" in finished[0].reason
+        coord.on_join("b", 0.0)
+        assert coord.status == "aborted"
+        assert "quorum" in coord.abort_reason
 
     def test_resumed_coordinator_rebroadcasts_checkpoint_round(self, tmp_path):
         cfg = make_cfg(tmp_path, rounds=5)
