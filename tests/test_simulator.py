@@ -89,6 +89,27 @@ class TestTiming:
         assert record.per_client["a"].waiting_seconds == 10.0
         assert record.per_client["b"].waiting_seconds == 0.0
 
+    def test_aggregation_delays_the_next_rounds_tasks(self, tmp_path):
+        # Each round trains for 20 s (b's time) and each aggregation costs
+        # 7 s. Round 0's tasks go out at join time, undelayed; rounds 1 and 2
+        # open 7 s after the previous round aggregates. The run ends when
+        # round 2 aggregates: 3 * 20 + 2 * 7 = 74 s.
+        cfg = FederationConfig(
+            sites=(SiteSpec("a"), SiteSpec("b")),
+            rounds=3,
+            algorithm=AlgorithmConfig(),
+            trainer=TrainerConfig(seed=2),
+            heterogeneity=HeterogeneityConfig(base_optimum=[1.0, 1.0], samples_per_site=6),
+            checkpoint_path=str(tmp_path / "agg.json"),
+        )
+        report = simulate(
+            SimScenario(federation=cfg, site_multipliers={"a": 1.0, "b": 2.0},
+                        base_round_cost_seconds=10.0, aggregation_cost_seconds=7.0)
+        )
+        assert report.status == "completed"
+        assert report.virtual_seconds == 74.0
+        assert report.experiment.totals.aggregate == 21.0
+
     def test_train_seconds_are_base_times_multiplier(self, tmp_path):
         # the paper's round-time ratios 4.08 : 5.47 : 1.54 under a shared base
         mults = {"a": 4.08, "b": 5.47, "c": 1.54}
