@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,34 @@ def test_continue_without_rounds_average_exactly_the_submitted_sites(checkpoints
         expected = federated_average(updates, cfg.algorithm.weighting)
         assert aggregated.values.tobytes() == expected.values.tobytes(), record.round
         previous = aggregated
+
+
+@given(run=continue_without_runs())
+@settings(max_examples=100, deadline=None)
+def test_continue_without_aborts_exactly_when_a_round_falls_below_quorum(checkpoints, run):
+    # The quorum decides only whether a round aborts, never who is dropped,
+    # so a quorum-1 run shows how many sites each round can gather.
+    site_count, federation, faults = run
+    quorum = federation["min_clients_per_round"]
+    base = make_scenario(checkpoints, site_count, faults, name="quorum")
+    reports = {}
+    for q in {quorum, 1}:
+        cfg = dataclasses.replace(base.federation, **{**federation, "min_clients_per_round": q})
+        reports[q] = simulate(dataclasses.replace(base, federation=cfg))
+    at_q, at_one = reports[quorum], reports[1]
+    assert at_one.status in ("completed", "aborted"), at_one.diagnosis
+    records = at_one.experiment.rounds if at_one.experiment is not None else []
+    gathered = [sum(c.submitted for c in r.per_client.values()) for r in records]
+    short = [r for r, n in enumerate(gathered) if n < quorum]
+    if not short and at_one.status == "completed":
+        assert at_q.status == "completed", at_q.diagnosis
+        assert at_q.round_globals == at_one.round_globals
+        return
+    due = short[0] if short else len(at_one.round_globals)
+    assert at_q.status == "aborted", at_q.diagnosis
+    assert re.search(r"round (\d+)", at_q.diagnosis).group(1) == str(due), at_q.diagnosis
+    assert at_q.round_globals == at_one.round_globals[:due]
+
 
 # Two faults at each of three (target, round) keys; a key's faults fire in
 # schedule order. The digests pin simulate()'s output for this schedule, and
