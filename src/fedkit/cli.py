@@ -73,8 +73,6 @@ def cmd_server(args) -> int:
     except ExperimentAborted as exc:
         _err(f"experiment aborted: {exc}")
         return EXIT_ABORTED
-    if report is None:
-        return EXIT_ABORTED
     out_dir = os.path.dirname(os.path.abspath(cfg.checkpoint_path))
     _write_report_files(metrics.report_to_dict(report), report, out_dir)
     print(metrics.render_summary(report, title="federation"), end="")

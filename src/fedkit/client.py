@@ -110,11 +110,6 @@ class Exit:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class FatalJoin:
-    reason: str
-
-
 class ClientSession:
     """Protocol state machine for one site.
 
@@ -158,9 +153,11 @@ class ClientSession:
         return [SendMsg(Message("join_request", 0, self.cfg.site_name))]
 
     def on_message(self, msg: Message) -> list:
+        """The commands ``msg`` calls for. A refused join raises ConfigError:
+        the site is not part of this experiment."""
         if msg.kind == "join_ack":
             if not msg.body.accepted:
-                return [FatalJoin(msg.body.reason or "join rejected")]
+                raise ConfigError(msg.body.reason or "join rejected")
             if self._held is not None:
                 if self._held.round == msg.body.current_round:
                     logger.info(
@@ -178,9 +175,7 @@ class ClientSession:
             return [Exit(0)]
         if msg.kind == "abort":
             return [Exit(1, msg.body.reason)]
-        if msg.kind == "heartbeat":
-            return []
-        return []  # client-only kinds from a confused server: ignore
+        return []  # heartbeats, and client-only kinds from a confused server
 
     def train(self, round_index: int, params: ParameterVector, algorithm: AlgorithmConfig) -> ModelUpdate:
         """The local work of one round: the transmitted track, plus the
@@ -295,8 +290,6 @@ class ClientRuntime:
             else:
                 logger.warning("%s: experiment aborted: %s", self.cfg.site_name, cmd.reason)
             return cmd.code
-        if isinstance(cmd, FatalJoin):
-            raise ConfigError(cmd.reason)
         return None
 
 

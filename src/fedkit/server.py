@@ -402,7 +402,6 @@ class RoundState:
 class Send:
     site: str
     message: Message
-    delay: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -448,7 +447,6 @@ class FederationCoordinator:
             cfg.trainer, cfg.heterogeneity
         )
         self._agg_cost = aggregation_cost
-        self._cfg_hash = config_hash(cfg)
         self._connected: set = set()
         self._state: Optional[RoundState] = None  # set while a round collects
         self.records: list = []
@@ -463,23 +461,12 @@ class FederationCoordinator:
         return self._round
 
     @property
-    def phase(self) -> str:
-        """waiting | collecting | finished"""
-        if self.status is not None:
-            return "finished"
-        return "waiting" if self._state is None else "collecting"
-
-    @property
     def global_params(self) -> ParameterVector:
         return self._global
 
     @property
     def state(self) -> Optional[RoundState]:
         return self._state
-
-    @property
-    def config_digest(self) -> str:
-        return self._cfg_hash
 
     # -- events
 
@@ -489,10 +476,10 @@ class FederationCoordinator:
         self._connected.add(site)
         cmds = [Send(site, self._ack(site, accepted=True))]
         if self.status is not None:
-            cmds.append(self._closing_message(site, delay=0.0))
+            cmds.append(self._closing_message(site))
         elif self._state is None:
             if self._expected <= self._connected:
-                cmds += self._open_round(now, delay=0.0)
+                cmds += self._open_round(now)
         elif site in self._state.pending:
             # A rejoiner that still owes this round gets the current task again.
             cmds.append(self._task_send(site))
@@ -539,21 +526,21 @@ class FederationCoordinator:
             JoinAck(accepted=accepted, current_round=self._round, reason=reason),
         )
 
-    def _closing_message(self, site: str, delay: float) -> Send:
+    def _closing_message(self, site: str) -> Send:
         if self.status == "completed":
-            return Send(site, Message("experiment_done", self._round, site), delay=delay)
-        return Send(site, Message("abort", self._round, site, Abort(self.abort_reason)), delay=delay)
+            return Send(site, Message("experiment_done", self._round, site))
+        return Send(site, Message("abort", self._round, site, Abort(self.abort_reason)))
 
-    def _task_send(self, site: str, delay: float = 0.0) -> Send:
+    def _task_send(self, site: str) -> Send:
         msg = Message(
             "task_assignment",
             self._round,
             site,
             TaskAssignment(params=self._global, algorithm=self.cfg.algorithm),
         )
-        return Send(site, msg, delay=delay)
+        return Send(site, msg)
 
-    def _open_round(self, now: float, delay: float) -> list:
+    def _open_round(self, now: float) -> list:
         participants = self._expected | (self._connected & self._known)
         quorum = self.cfg.min_clients_per_round
         if quorum is not None and len(participants) < quorum:
@@ -563,7 +550,7 @@ class FederationCoordinator:
             )
         self._state = RoundState(round=self._round, pending=set(participants))
         cmds = [
-            self._task_send(site, delay=delay)
+            self._task_send(site)
             for site in self._site_order
             if site in participants and site in self._connected
         ]
@@ -629,21 +616,20 @@ class FederationCoordinator:
         cmds: list = [SaveCheckpoint(st.round, aggregated)]
         self._round = st.round + 1
         self._state = None
-        delay = self._agg_cost if self._agg_cost is not None else 0.0
         if self._round < self.cfg.rounds:
-            return cmds + self._open_round(now, delay=delay)
+            return cmds + self._open_round(now)
         self.status = "completed"
-        return cmds + self._close_all(delay)
+        return cmds + self._close_all()
 
     def _abort(self, reason: str) -> list:
         logger.warning("aborting experiment: %s", reason)
         self.status = "aborted"
         self.abort_reason = reason
         self._state = None
-        return self._close_all(delay=0.0)
+        return self._close_all()
 
-    def _close_all(self, delay: float) -> list:
-        return [self._closing_message(s, delay) for s in self._site_order if s in self._connected]
+    def _close_all(self) -> list:
+        return [self._closing_message(s) for s in self._site_order if s in self._connected]
 
 
 # --- final evaluation and report assembly -------------------------------------
@@ -737,10 +723,11 @@ class FederationServer:
         startup_timeout: float = 30.0,
     ):
         self.cfg = cfg
+        self._cfg_hash = config_hash(cfg)
         start_round, start_global = 0, None
         if resume:
             start_global, start_round = resume_from_checkpoint(
-                cfg.checkpoint_path, config_hash(cfg)
+                cfg.checkpoint_path, self._cfg_hash
             )
             logger.info("resuming from checkpoint at round %d", start_round)
         self._coordinator = FederationCoordinator(
@@ -880,7 +867,7 @@ class FederationServer:
                     self.cfg.checkpoint_path,
                     cmd.round_index,
                     cmd.params,
-                    self._coordinator.config_digest,
+                    self._cfg_hash,
                 )
             elif isinstance(cmd, StartTimer):
                 self._timer = (cmd.round_index, time.monotonic() + cmd.seconds)

@@ -14,8 +14,8 @@ participant plus the aggregation cost, so each client's waiting time is the
 round's training span minus its own time.
 
 The simulation object is also the server process: it holds the live
-coordinator and an up flag. A restarted server resumes from the checkpoint
-this run saved last; an unreadable one raises
+coordinator, or None while the server is down. A restarted server resumes
+from the checkpoint this run saved last; an unreadable one raises
 :class:`~fedkit.errors.CheckpointError`.
 
 Determinism is a hard contract: the loop is strictly single-threaded,
@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .client import ClientConfig, ClientSession, Exit, FatalJoin, SendMsg, TrainTask
+from .client import ClientConfig, ClientSession, Exit, SendMsg, TrainTask
 from .errors import ConfigError, ReportError
 from .metrics import ExperimentReport, report_totals
 from .params import ParameterVector
@@ -236,7 +236,7 @@ class _SimClient:
             if self.connected or self.exit_code is not None:
                 self.reconnecting = False
                 return
-            if self.sim.server_up and self.sim.loop.now >= self.down_until:
+            if self.sim.coordinator is not None and self.sim.loop.now >= self.down_until:
                 self.reconnecting = False
                 self.connected = True
                 self.sim.connect_events += 1
@@ -252,9 +252,16 @@ class _SimClient:
         if not self.connected or self.exit_code is not None:
             return
         msg = decode(frame)  # every delivery is exactly one frame
-        if msg.kind == "task_assignment" and self.sim.intercept_task_fault(self, msg):
+        # A client fault fires when its round's task reaches the client.
+        fault = self.sim.take_fault(self.site, msg.round) if msg.kind == "task_assignment" else None
+        if fault is not None and fault.kind == "crash":
+            self.process_crash(fault.downtime_seconds)
             return
         self._run(self.session.on_message(msg))
+        if fault is not None:
+            # disconnect: the task landed and training proceeds offline; the
+            # finished update is held for resubmission after rejoin.
+            self.drop_connection(fault.downtime_seconds)
 
     def _run(self, cmds) -> None:
         for cmd in cmds:
@@ -269,11 +276,9 @@ class _SimClient:
             elif isinstance(cmd, Exit):
                 self.exit_code = cmd.code
                 self.connected = False
-            elif isinstance(cmd, FatalJoin):  # pragma: no cover - sites come from config
-                raise ConfigError(cmd.reason)
 
     def _send(self, message: Message) -> None:
-        if self.connected and self.sim.server_up:
+        if self.connected and self.sim.coordinator is not None:
             frame = encode(message)
             self.sim.loop.push(0.0, lambda: self.sim.deliver(frame))
         else:
@@ -294,13 +299,13 @@ class _Simulation:
         slowest = max(scenario.multiplier(s) for s in self.cfg.site_names)
         round_scale = scenario.base_round_cost_seconds * slowest + scenario.aggregation_cost_seconds
         self.no_progress_seconds = max(DEFAULT_NO_PROGRESS_SECONDS, 100.0 * round_scale)
-        self.round_globals: dict = {}
+        self.cfg_hash = config_hash(self.cfg)
+        self.round_globals: list = []  # one per aggregated round, in order
         self.connect_events = 0
         self.last_progress = 0.0
         self.pending_faults: dict = {}  # (target, round) -> faults in schedule order
         for fault in scenario.faults:
             self.pending_faults.setdefault((fault.target, fault.at_round), []).append(fault)
-        self.server_up = True
         self.coordinator: Optional[FederationCoordinator] = FederationCoordinator(
             self.cfg, aggregation_cost=scenario.aggregation_cost_seconds
         )
@@ -312,31 +317,36 @@ class _Simulation:
     # -- the server
 
     def feed(self, event: str, *args) -> None:
-        """Run one coordinator event and execute the commands it returns."""
-        if not self.server_up:
+        """Run one coordinator event and execute the commands it returns.
+
+        The sends that follow an aggregation leave once it is done, so they
+        are delayed by the aggregation cost; timers are not."""
+        if self.coordinator is None:
             return
+        delay = 0.0
         for cmd in getattr(self.coordinator, event)(*args, self.loop.now):
             if isinstance(cmd, Send):
                 frame, client = encode(cmd.message), self.by_site[cmd.site]
-                self.loop.push(cmd.delay, lambda c=client, f=frame: c.receive(f))
+                self.loop.push(delay, lambda c=client, f=frame: c.receive(f))
             elif isinstance(cmd, SaveCheckpoint):
                 save_checkpoint(
                     self.cfg.checkpoint_path,
                     cmd.round_index,
                     cmd.params,
-                    self.coordinator.config_digest,
+                    self.cfg_hash,
                 )
-                self.round_globals[cmd.round_index] = cmd.params
+                self.round_globals.append(cmd.params)
                 self.last_progress = self.loop.now
+                delay = self.scenario.aggregation_cost_seconds
             elif isinstance(cmd, StartTimer):
                 self.loop.push(cmd.seconds, lambda r=cmd.round_index: self.feed("on_timeout", r))
-        if self.coordinator.phase == "collecting":
-            fault = self._take_fault(FAULT_TARGET_SERVER, self.coordinator.current_round)
+        if self.coordinator.state is not None:
+            fault = self.take_fault(FAULT_TARGET_SERVER, self.coordinator.current_round)
             if fault is not None:
                 self._crash_server(fault.downtime_seconds)
 
     def deliver(self, frame: bytes) -> None:
-        if not self.server_up:
+        if self.coordinator is None:
             return
         msg = decode(frame)
         if msg.kind == "join_request":
@@ -346,7 +356,6 @@ class _Simulation:
         # heartbeats and anything else carry no event
 
     def _crash_server(self, downtime: float) -> None:
-        self.server_up = False
         self.coordinator = None
         for client in self.clients:
             self.loop.push(0.0, client.on_server_down)
@@ -359,7 +368,7 @@ class _Simulation:
         start_global, start_round = None, 0
         if self.round_globals:
             start_global, start_round = resume_from_checkpoint(
-                self.cfg.checkpoint_path, config_hash(self.cfg)
+                self.cfg.checkpoint_path, self.cfg_hash
             )
         self.coordinator = FederationCoordinator(
             self.cfg,
@@ -367,30 +376,12 @@ class _Simulation:
             start_global=start_global,
             aggregation_cost=self.scenario.aggregation_cost_seconds,
         )
-        self.server_up = True
 
     # -- faults
 
-    def _take_fault(self, target: str, round_index: int) -> Optional[FaultEvent]:
+    def take_fault(self, target: str, round_index: int) -> Optional[FaultEvent]:
         faults = self.pending_faults.get((target, round_index))
         return faults.pop(0) if faults else None
-
-    def intercept_task_fault(self, client: _SimClient, msg: Message) -> bool:
-        """Fire a client fault when its round's task reaches the client.
-
-        Returns True when the task must not be processed (crash semantics).
-        """
-        fault = self._take_fault(client.site, msg.round)
-        if fault is None:
-            return False
-        if fault.kind == "crash":
-            client.process_crash(fault.downtime_seconds)
-            return True
-        # disconnect: the task lands, training proceeds offline, and
-        # the finished update is held for resubmission after rejoin.
-        client._run(client.session.on_message(msg))
-        client.drop_connection(fault.downtime_seconds)
-        return True
 
     def run(self) -> None:
         for client in self.clients:
@@ -453,12 +444,11 @@ def simulate(scenario: SimScenario) -> SimulationReport:
 
     local_cross = _local_baseline(cfg) if scenario.local_baseline else None
 
-    ordered_rounds = [sim.round_globals[r] for r in sorted(sim.round_globals)]
     return SimulationReport(
         status=status,
         diagnosis=reason,
         experiment=experiment,
-        round_globals=ordered_rounds,
+        round_globals=sim.round_globals,
         final_global=final_global,
         personal_models=personal,
         local_cross=local_cross,

@@ -13,7 +13,7 @@ from fedkit import (
     ParameterVector,
     TrainerConfig,
 )
-from fedkit.client import Exit, FatalJoin, SendMsg, TrainTask, parse_address
+from fedkit.client import Exit, SendMsg, TrainTask, parse_address
 from fedkit.protocol import Abort, JoinAck, TaskAssignment
 
 
@@ -73,8 +73,8 @@ class TestClientSession:
 
     def test_rejected_join_is_fatal(self):
         session = make_session()
-        cmds = session.on_message(ack(0, accepted=False, reason="unknown site"))
-        assert isinstance(cmds[0], FatalJoin)
+        with pytest.raises(ConfigError, match="unknown site"):
+            session.on_message(ack(0, accepted=False, reason="unknown site"))
 
     def test_task_produces_training_command(self):
         session = make_session()

@@ -248,7 +248,6 @@ class TestCoordinator:
         assert kinds.index(SaveCheckpoint) < kinds.index(Send)
         tasks = sends_of(cmds, "task_assignment")
         assert all(t.message.round == 1 for t in tasks)
-        assert all(t.delay == 0.5 for t in tasks)
         assert coord.global_params == ParameterVector([2.0, 2.0])
         record = coord.records[0]
         assert record.per_client["a"].waiting_seconds == 2.0
@@ -354,8 +353,7 @@ class TestCoordinator:
             coord.on_update(s, update_for(s, 0), 1.0)
         cmds = coord.on_update("c", update_for("c", 0), 1.0)
         assert sends_of(cmds, "experiment_done")
-        assert coord.status == "completed"
-        assert coord.phase == "finished"
+        assert coord.status == "completed" and coord.state is None
 
     def with_late_site(self, cfg):
         sites = (SiteSpec("a"), SiteSpec("b"), SiteSpec("late", expected=False))
@@ -365,35 +363,35 @@ class TestCoordinator:
         cfg = self.with_late_site(make_cfg(tmp_path, rounds=1))
         coord = FederationCoordinator(cfg, aggregation_cost=0.5)
         coord.on_join("a", 0.0)
-        assert coord.phase == "waiting"
+        assert coord.status is None and coord.state is None
         coord.on_join("b", 0.0)
-        assert coord.phase == "collecting"
+        assert coord.status is None and coord.state is not None
         coord.on_update("a", update_for("a", 0), 1.0)
-        assert coord.phase == "collecting"
+        assert coord.status is None and coord.state is not None
         cmds = coord.on_update("b", update_for("b", 0), 2.0)
-        assert coord.phase == "finished" and coord.state is None
-        assert [d.delay for d in sends_of(cmds, "experiment_done")] == [0.5, 0.5]
+        assert coord.status == "completed" and coord.state is None
+        assert [d.site for d in sends_of(cmds, "experiment_done")] == ["a", "b"]
         sends = sends_of(coord.on_join("late", 3.0))
         assert [s.message.kind for s in sends] == ["join_ack", "experiment_done"]
         assert sends[0].message.body.accepted is True
-        assert sends[1].site == "late" and sends[1].message.round == 1 and sends[1].delay == 0.0
-        assert coord.phase == "finished"
+        assert sends[1].site == "late" and sends[1].message.round == 1
+        assert coord.status == "completed" and coord.state is None
 
     def test_phase_through_abort_then_late_join_gets_abort(self, tmp_path):
         cfg = self.with_late_site(make_cfg(
             tmp_path, rounds=2, on_client_loss="continue_without", min_clients_per_round=2))
         coord = FederationCoordinator(cfg)
-        assert coord.phase == "waiting"
+        assert coord.status is None and coord.state is None
         self.join_all(coord, sites=("a", "b"))
-        assert coord.phase == "collecting"
+        assert coord.status is None and coord.state is not None
         cmds = coord.on_client_lost("b", 1.0)
-        assert coord.phase == "finished" and coord.status == "aborted"
+        assert coord.status == "aborted" and coord.state is None
         assert [a.site for a in sends_of(cmds, "abort")] == ["a"]
         sends = sends_of(coord.on_join("late", 2.0))
         assert [s.message.kind for s in sends] == ["join_ack", "abort"]
         assert sends[1].message.body.reason == coord.abort_reason
         assert "below quorum" in coord.abort_reason
-        assert coord.phase == "finished"
+        assert coord.status == "aborted" and coord.state is None
 
     def test_late_joiner_admitted_next_round(self, tmp_path):
         cfg = make_cfg(tmp_path, sites=("a", "b", "late"), rounds=2)
