@@ -89,12 +89,7 @@ def parse_address(text: str) -> tuple:
     return host, int(port)
 
 
-# --- session commands (executed by the runtime) --------------------------------
-
-
-@dataclass(frozen=True)
-class SendMsg:
-    message: Message
+# --- session commands (executed by the runtime; a Message is sent) ------------
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,7 @@ class ClientSession:
         return self._data
 
     def on_connected(self) -> list:
-        return [SendMsg(Message("join_request", 0, self.cfg.site_name))]
+        return [Message("join_request", 0, self.cfg.site_name)]
 
     def on_message(self, msg: Message) -> list:
         """The commands ``msg`` calls for. A refused join raises ConfigError:
@@ -165,7 +160,7 @@ class ClientSession:
                         self.cfg.site_name,
                         self._held.round,
                     )
-                    return [SendMsg(self._update_message(self._held))]
+                    return [self._update_message(self._held)]
                 self._held = None  # the federation moved on; discard
             return []
         if msg.kind == "task_assignment":
@@ -202,7 +197,7 @@ class ClientSession:
 
     def on_trained(self, update: ModelUpdate) -> list:
         self._held = update
-        return [SendMsg(self._update_message(update))]
+        return [self._update_message(update)]
 
     def reset_process_state(self) -> None:
         """Crash semantics: in-memory state (held update, personal model) is lost."""
@@ -250,46 +245,38 @@ class ClientRuntime:
         decoder = FrameDecoder()
         try:
             with sock:
-                sock.settimeout(0.5)
-                for cmd in self.session.on_connected():
-                    code = self._execute(cmd, sock)
-                    if code is not None:
-                        return code
+                # Only connecting is bounded: a timeout would also cut any
+                # sendall that the server cannot take within it.
+                sock.settimeout(None)
+                self._execute(self.session.on_connected(), sock)
                 while True:
-                    try:
-                        chunk = sock.recv(65536)
-                    except socket.timeout:
-                        continue
+                    chunk = sock.recv(65536)
                     if not chunk:
                         return None  # server closed; reconnect
                     for msg in decoder.feed(chunk):
-                        for cmd in self.session.on_message(msg):
-                            code = self._execute(cmd, sock)
-                            if code is not None:
-                                return code
+                        code = self._execute(self.session.on_message(msg), sock)
+                        if code is not None:
+                            return code
         except (OSError, ProtocolError) as exc:
             logger.debug("%s connection dropped: %s", self.cfg.site_name, exc)
             return None
 
-    def _execute(self, cmd, sock: socket.socket) -> Optional[int]:
-        if isinstance(cmd, SendMsg):
-            sock.sendall(encode(cmd.message))
-            return None
-        if isinstance(cmd, TrainTask):
-            t0 = time.perf_counter()
-            update = self.session.train(cmd.round_index, cmd.params, cmd.algorithm)
-            update = dataclasses.replace(update, train_seconds=time.perf_counter() - t0)
-            for follow_up in self.session.on_trained(update):
-                code = self._execute(follow_up, sock)
-                if code is not None:
-                    return code
-            return None
-        if isinstance(cmd, Exit):
-            if cmd.code == 0:
-                logger.info("%s: experiment done", self.cfg.site_name)
-            else:
-                logger.warning("%s: experiment aborted: %s", self.cfg.site_name, cmd.reason)
-            return cmd.code
+    def _execute(self, cmds: list, sock: socket.socket) -> Optional[int]:
+        """Run the session's commands; returns the exit code of an Exit."""
+        for cmd in cmds:
+            if isinstance(cmd, Message):
+                sock.sendall(encode(cmd))
+            elif isinstance(cmd, TrainTask):
+                t0 = time.perf_counter()
+                update = self.session.train(cmd.round_index, cmd.params, cmd.algorithm)
+                update = dataclasses.replace(update, train_seconds=time.perf_counter() - t0)
+                self._execute(self.session.on_trained(update), sock)  # sends only
+            elif isinstance(cmd, Exit):
+                if cmd.code == 0:
+                    logger.info("%s: experiment done", self.cfg.site_name)
+                else:
+                    logger.warning("%s: experiment aborted: %s", self.cfg.site_name, cmd.reason)
+                return cmd.code
         return None
 
 

@@ -395,13 +395,7 @@ class RoundState:
     dropped: set = field(default_factory=set)
 
 
-# --- coordinator commands ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Send:
-    site: str
-    message: Message
+# --- coordinator commands (a Message is sent to its client_id) ---------------
 
 
 @dataclass(frozen=True)
@@ -472,9 +466,9 @@ class FederationCoordinator:
 
     def on_join(self, site: str, now: float) -> list:
         if site not in self._known:
-            return [Send(site, self._ack(site, accepted=False, reason=f"unknown site {site!r}"))]
+            return [self._ack(site, accepted=False, reason=f"unknown site {site!r}")]
         self._connected.add(site)
-        cmds = [Send(site, self._ack(site, accepted=True))]
+        cmds = [self._ack(site, accepted=True)]
         if self.status is not None:
             cmds.append(self._closing_message(site))
         elif self._state is None:
@@ -526,22 +520,21 @@ class FederationCoordinator:
             JoinAck(accepted=accepted, current_round=self._round, reason=reason),
         )
 
-    def _closing_message(self, site: str) -> Send:
+    def _closing_message(self, site: str) -> Message:
         if self.status == "completed":
-            return Send(site, Message("experiment_done", self._round, site))
-        return Send(site, Message("abort", self._round, site, Abort(self.abort_reason)))
+            return Message("experiment_done", self._round, site)
+        return Message("abort", self._round, site, Abort(self.abort_reason))
 
-    def _task_send(self, site: str) -> Send:
-        msg = Message(
+    def _task_send(self, site: str) -> Message:
+        return Message(
             "task_assignment",
             self._round,
             site,
             TaskAssignment(params=self._global, algorithm=self.cfg.algorithm),
         )
-        return Send(site, msg)
 
     def _open_round(self, now: float) -> list:
-        participants = self._expected | (self._connected & self._known)
+        participants = self._expected | self._connected
         quorum = self.cfg.min_clients_per_round
         if quorum is not None and len(participants) < quorum:
             return self._abort(
@@ -860,7 +853,7 @@ class FederationServer:
 
     def _execute(self, cmds: list) -> None:
         for cmd in cmds:
-            if isinstance(cmd, Send):
+            if isinstance(cmd, Message):
                 self._send(cmd)
             elif isinstance(cmd, SaveCheckpoint):
                 save_checkpoint(
@@ -872,12 +865,12 @@ class FederationServer:
             elif isinstance(cmd, StartTimer):
                 self._timer = (cmd.round_index, time.monotonic() + cmd.seconds)
 
-    def _send(self, cmd: Send) -> None:
-        conn = self._connections.get(cmd.site)
+    def _send(self, msg: Message) -> None:
+        conn = self._connections.get(msg.client_id)
         if conn is None:
             return
         try:
-            conn.sock.sendall(encode(cmd.message))
+            conn.sock.sendall(encode(msg))
         except OSError:
             # The socket then reads as ended, and _read reports the loss, so
             # its cascade (drop, round completion, abort) has one path.

@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .client import ClientConfig, ClientSession, Exit, SendMsg, TrainTask
+from .client import ClientConfig, ClientSession, Exit, TrainTask
 from .errors import ConfigError, ReportError
 from .metrics import ExperimentReport, report_totals
 from .params import ParameterVector
@@ -40,7 +40,6 @@ from .server import (
     FederationConfig,
     FederationCoordinator,
     SaveCheckpoint,
-    Send,
     StartTimer,
     build_experiment_report,
     config_hash,
@@ -265,8 +264,8 @@ class _SimClient:
 
     def _run(self, cmds) -> None:
         for cmd in cmds:
-            if isinstance(cmd, SendMsg):
-                self._send(cmd.message)
+            if isinstance(cmd, Message):
+                self._send(cmd)
             elif isinstance(cmd, TrainTask):
                 update = self.session.train(cmd.round_index, cmd.params, cmd.algorithm)
                 update = dataclasses.replace(update, train_seconds=self.train_seconds)
@@ -325,8 +324,8 @@ class _Simulation:
             return
         delay = 0.0
         for cmd in getattr(self.coordinator, event)(*args, self.loop.now):
-            if isinstance(cmd, Send):
-                frame, client = encode(cmd.message), self.by_site[cmd.site]
+            if isinstance(cmd, Message):
+                frame, client = encode(cmd), self.by_site[cmd.client_id]
                 self.loop.push(delay, lambda c=client, f=frame: c.receive(f))
             elif isinstance(cmd, SaveCheckpoint):
                 save_checkpoint(

@@ -13,7 +13,7 @@ from fedkit import (
     ParameterVector,
     TrainerConfig,
 )
-from fedkit.client import Exit, SendMsg, TrainTask, parse_address
+from fedkit.client import Exit, TrainTask, parse_address
 from fedkit.protocol import Abort, JoinAck, TaskAssignment
 
 
@@ -68,7 +68,7 @@ class TestClientSession:
     def test_join_flow(self):
         session = make_session()
         cmds = session.on_connected()
-        assert isinstance(cmds[0], SendMsg) and cmds[0].message.kind == "join_request"
+        assert isinstance(cmds[0], Message) and cmds[0].kind == "join_request"
         assert session.on_message(ack(0)) == []
 
     def test_rejected_join_is_fatal(self):
@@ -85,18 +85,18 @@ class TestClientSession:
         session = make_session()
         update = session.train(1, ParameterVector([0.0, 0.0]), AlgorithmConfig())
         cmds = session.on_trained(update)
-        assert isinstance(cmds[0], SendMsg)
-        assert cmds[0].message.kind == "update_submission"
-        assert cmds[0].message.round == 1
+        assert isinstance(cmds[0], Message)
+        assert cmds[0].kind == "update_submission"
+        assert cmds[0].round == 1
 
     def test_resubmits_held_update_when_round_unchanged(self):
         session = make_session()
         update = session.train(1, ParameterVector([0.0, 0.0]), AlgorithmConfig())
         session.on_trained(update)
         cmds = session.on_message(ack(1))
-        assert isinstance(cmds[0], SendMsg)
-        assert cmds[0].message.kind == "update_submission"
-        assert cmds[0].message.body.params == update.params
+        assert isinstance(cmds[0], Message)
+        assert cmds[0].kind == "update_submission"
+        assert cmds[0].body.params == update.params
 
     def test_discards_held_update_when_federation_moved_on(self):
         session = make_session()

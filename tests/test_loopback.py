@@ -3,11 +3,16 @@
 Servers and clients run in daemon threads; every experiment here is tiny
 (desk-scale trainers, a handful of rounds) so the suite stays fast.
 """
+import select
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
+
+import fedkit.client
+import fedkit.server
 
 from fedkit import (
     AlgorithmConfig,
@@ -25,6 +30,8 @@ from fedkit import (
     resume_from_checkpoint,
     run_client,
 )
+from fedkit.protocol import FrameDecoder, JoinAck, TaskAssignment
+from fedkit.training import initial_global
 
 SITES = ("basel", "freiburg", "strasbourg")
 
@@ -252,6 +259,77 @@ class TestRawConnections:
         finally:
             for raw in raws:
                 raw.close()
+
+
+def receive(sock, decoder, count):
+    """Up to ``count`` messages from ``sock``; fewer if the peer closes first."""
+    messages = []
+    while len(messages) < count:
+        chunk = sock.recv(1 << 16)
+        if not chunk:
+            break
+        messages += decoder.feed(chunk)
+    return messages
+
+
+class TestLargeUpdate:
+    def test_update_to_a_server_that_pauses_reading_arrives_whole(self, tmp_path):
+        # A ~10 MB update does not fit in the socket buffers, so the client's
+        # sendall blocks while the server does not read. It must wait: a
+        # timeout on the client's socket would cut the update and reconnect.
+        heterogeneity = HeterogeneityConfig(base_optimum=[0.5] * 500_000, samples_per_site=1)
+        cfg = make_cfg(tmp_path, rounds=1, heterogeneity=heterogeneity)
+        with socket.socket() as listener:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            listener.settimeout(10.0)
+            client = ClientThread(cfg, "basel", listener.getsockname())
+            client.start()
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                decoder = FrameDecoder()
+                assert [m.kind for m in receive(conn, decoder, 1)] == ["join_request"]
+                conn.sendall(encode(Message("join_ack", 0, "basel", JoinAck(True, 0))))
+                task = TaskAssignment(initial_global(cfg.trainer, heterogeneity), cfg.algorithm)
+                conn.sendall(encode(Message("task_assignment", 0, "basel", task)))
+                conn.recv(1, socket.MSG_PEEK)  # the update starts to arrive
+                time.sleep(1.0)
+                assert [m.kind for m in receive(conn, decoder, 1)] == ["update_submission"]
+                assert select.select([listener], [], [], 0)[0] == []  # no reconnect
+                conn.sendall(encode(Message("experiment_done", 0, "basel")))
+                assert finish([client]) == [0]
+
+
+class TestBenchRoutes:
+    def test_fault_free_run_calls_each_counted_name(self, tmp_path, monkeypatch):
+        # bench/hooks.py counts wire bytes at these encodes and ends a round
+        # where save_checkpoint returns, so each must stay on the round path.
+        calls = []  # list.append is atomic across the client threads
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(f"{module.__name__}.{name}")
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(fedkit.server, "encode")
+        count(fedkit.server, "save_checkpoint")
+        count(fedkit.client, "encode")
+        cfg = make_cfg(tmp_path, rounds=2)
+        server = FederationServer(cfg, ("127.0.0.1", 0))
+        threads = start_clients(cfg, server.address)
+        server.run()
+        assert finish(threads) == [0, 0, 0]
+        assert Counter(calls) == {
+            "fedkit.server.encode": 12,
+            "fedkit.server.save_checkpoint": 2,
+            "fedkit.client.encode": 9,
+        }
 
 
 class TestServerRestart:

@@ -13,6 +13,7 @@ from fedkit import (
     FederationConfig,
     FederationCoordinator,
     HeterogeneityConfig,
+    Message,
     ModelUpdate,
     ParameterVector,
     SiteSpec,
@@ -22,7 +23,6 @@ from fedkit import (
 from fedkit import server
 from fedkit.server import (
     SaveCheckpoint,
-    Send,
     StartTimer,
     config_hash,
     evaluate_sites,
@@ -55,9 +55,9 @@ def update_for(site, round_index, values=(0.5, 0.5), n=8, seconds=1.0):
 
 
 def sends_of(cmds, kind=None):
-    out = [c for c in cmds if isinstance(c, Send)]
+    out = [c for c in cmds if isinstance(c, Message)]
     if kind is not None:
-        out = [c for c in out if c.message.kind == kind]
+        out = [c for c in out if c.kind == kind]
     return out
 
 
@@ -229,14 +229,14 @@ class TestCoordinator:
         assert not sends_of(cmds, "task_assignment")
         cmds = coord.on_join("c", 0.0)
         tasks = sends_of(cmds, "task_assignment")
-        assert [t.site for t in tasks] == ["a", "b", "c"]
-        assert all(t.message.round == 0 for t in tasks)
+        assert [t.client_id for t in tasks] == ["a", "b", "c"]
+        assert all(t.round == 0 for t in tasks)
 
     def test_unknown_site_rejected(self, tmp_path):
         coord = FederationCoordinator(make_cfg(tmp_path))
         cmds = coord.on_join("intruder", 0.0)
         acks = sends_of(cmds, "join_ack")
-        assert len(acks) == 1 and acks[0].message.body.accepted is False
+        assert len(acks) == 1 and acks[0].body.accepted is False
 
     def test_round_completion_checkpoints_then_broadcasts_next(self, tmp_path):
         coord = FederationCoordinator(make_cfg(tmp_path), aggregation_cost=0.5)
@@ -245,9 +245,9 @@ class TestCoordinator:
         coord.on_update("b", update_for("b", 0, (2.0, 2.0)), 2.0)
         cmds = coord.on_update("c", update_for("c", 0, (3.0, 3.0)), 3.0)
         kinds = [type(c) for c in cmds]
-        assert kinds.index(SaveCheckpoint) < kinds.index(Send)
+        assert kinds.index(SaveCheckpoint) < kinds.index(Message)
         tasks = sends_of(cmds, "task_assignment")
-        assert all(t.message.round == 1 for t in tasks)
+        assert all(t.round == 1 for t in tasks)
         assert coord.global_params == ParameterVector([2.0, 2.0])
         record = coord.records[0]
         assert record.per_client["a"].waiting_seconds == 2.0
@@ -281,7 +281,7 @@ class TestCoordinator:
         assert coord.on_client_lost("b", 1.5) == []  # wait: round blocks
         cmds = coord.on_join("b", 5.0)
         tasks = sends_of(cmds, "task_assignment")
-        assert len(tasks) == 1 and tasks[0].message.round == 0
+        assert len(tasks) == 1 and tasks[0].round == 0
 
     def test_continue_without_drops_and_renormalizes(self, tmp_path):
         cfg = make_cfg(tmp_path, on_client_loss="continue_without", min_clients_per_round=2)
@@ -303,7 +303,7 @@ class TestCoordinator:
         cmds = coord.on_client_lost("b", 1.0)
         assert coord.status == "aborted"
         aborts = sends_of(cmds, "abort")
-        assert [a.site for a in aborts] == ["a"]
+        assert [a.client_id for a in aborts] == ["a"]
 
     def test_continue_without_loss_after_submitting_keeps_quorum(self, tmp_path):
         cfg = make_cfg(tmp_path, sites=("a", "b"), on_client_loss="continue_without",
@@ -370,11 +370,11 @@ class TestCoordinator:
         assert coord.status is None and coord.state is not None
         cmds = coord.on_update("b", update_for("b", 0), 2.0)
         assert coord.status == "completed" and coord.state is None
-        assert [d.site for d in sends_of(cmds, "experiment_done")] == ["a", "b"]
+        assert [d.client_id for d in sends_of(cmds, "experiment_done")] == ["a", "b"]
         sends = sends_of(coord.on_join("late", 3.0))
-        assert [s.message.kind for s in sends] == ["join_ack", "experiment_done"]
-        assert sends[0].message.body.accepted is True
-        assert sends[1].site == "late" and sends[1].message.round == 1
+        assert [s.kind for s in sends] == ["join_ack", "experiment_done"]
+        assert sends[0].body.accepted is True
+        assert sends[1].client_id == "late" and sends[1].round == 1
         assert coord.status == "completed" and coord.state is None
 
     def test_phase_through_abort_then_late_join_gets_abort(self, tmp_path):
@@ -386,10 +386,10 @@ class TestCoordinator:
         assert coord.status is None and coord.state is not None
         cmds = coord.on_client_lost("b", 1.0)
         assert coord.status == "aborted" and coord.state is None
-        assert [a.site for a in sends_of(cmds, "abort")] == ["a"]
+        assert [a.client_id for a in sends_of(cmds, "abort")] == ["a"]
         sends = sends_of(coord.on_join("late", 2.0))
-        assert [s.message.kind for s in sends] == ["join_ack", "abort"]
-        assert sends[1].message.body.reason == coord.abort_reason
+        assert [s.kind for s in sends] == ["join_ack", "abort"]
+        assert sends[1].body.reason == coord.abort_reason
         assert "below quorum" in coord.abort_reason
         assert coord.status == "aborted" and coord.state is None
 
@@ -411,8 +411,8 @@ class TestCoordinator:
         coord.on_update("a", update_for("a", 0), 1.0)
         cmds = coord.on_update("b", update_for("b", 0), 1.0)
         tasks = sends_of(cmds, "task_assignment")
-        assert {t.site for t in tasks} == {"a", "b", "late"}
-        assert all(t.message.round == 1 for t in tasks)
+        assert {t.client_id for t in tasks} == {"a", "b", "late"}
+        assert all(t.round == 1 for t in tasks)
 
     def test_round_never_opens_below_quorum(self, tmp_path):
         # an optional site that never joins cannot count toward the quorum
@@ -439,8 +439,8 @@ class TestCoordinator:
         )
         cmds = self.join_all(coord)
         tasks = sends_of(cmds, "task_assignment")
-        assert all(t.message.round == 3 for t in tasks)
-        assert all(np.array_equal(t.message.body.params.values, [7.0, 7.0]) for t in tasks)
+        assert all(t.round == 3 for t in tasks)
+        assert all(np.array_equal(t.body.params.values, [7.0, 7.0]) for t in tasks)
 
 
 class TestEvaluateSites:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,23 @@ class TestDeterminism:
         assert one.virtual_seconds == two.virtual_seconds
         assert len(one.round_globals) == len(two.round_globals)
         assert all(x == y for x, y in zip(one.round_globals, two.round_globals))
+
+
+class TestBenchRoutes:
+    def test_fault_free_run_calls_each_counted_name(self, tmp_path, monkeypatch):
+        # bench/hooks.py counts wire bytes at this encode and ends a round
+        # where save_checkpoint returns, so each must stay on the round path.
+        calls = Counter()
+        for name in ("encode", "save_checkpoint"):
+            original = getattr(fedkit.simulator, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(fedkit.simulator, name, counted)
+        assert simulate(scenario(tmp_path, {}, rounds=2)).status == "completed"
+        assert calls == {"encode": 21, "save_checkpoint": 2}
 
 
 class TestLocalBaseline:
