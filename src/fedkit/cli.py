@@ -130,12 +130,13 @@ def cmd_report(args) -> int:
             path = os.path.join(directory, "report.json")
             doc = metrics.load_report(path)
             totals = None if doc.get("totals") is None else metrics.report_totals(doc, path)
-            documents.append((directory, doc, totals))
+            scores = metrics.report_scores(doc, path) if "local_cross" in doc else None
+            documents.append((directory, doc, totals, scores))
     except ReportError as exc:
         _err(str(exc))
         return EXIT_CONFIG
     print("== totals ==")
-    for directory, doc, totals in documents:
+    for directory, doc, totals, _ in documents:
         status = f"{directory}: status {doc.get('status', '?')}"
         if totals is None:  # a run that completed no round has no totals
             print(status)
@@ -151,25 +152,20 @@ def cmd_report(args) -> int:
             print(f"  finding: {doc['diagnosis']}")
     if len(documents) > 1:
         print("== speedup vs first ==")
-        base_dir, base, _ = documents[0]
-        for directory, doc, _ in documents[1:]:
+        base_dir, base, _, _ = documents[0]
+        for directory, doc, _, _ in documents[1:]:
             try:
                 print(f"{base_dir} -> {directory}: {speedup(base, doc):.2f}%")
             except ReportError as exc:
                 print(f"{base_dir} -> {directory}: not comparable ({exc})")
-    for directory, doc, _ in documents:
-        if "local_cross" not in doc:
+    for directory, _, _, scores in documents:
+        if scores is None:
             continue
         print(f"== global vs local ({directory}) ==")
         try:
-            global_scores = {site: s["mean"] for site, s in doc["final_scores"].items()}
-            local = {
-                trained: {site: s["mean"] for site, s in row.items()}
-                for trained, row in doc["local_cross"].items()
-            }
-            table = metrics.compare_global_local(global_scores, local)
+            table = metrics.compare_global_local(*scores)
             print(metrics.render_loss_table(table), end="")
-        except (ReportError, KeyError, TypeError) as exc:
+        except ReportError as exc:
             print(f"section unavailable: ReportError: {exc}")
     return EXIT_OK
 

@@ -193,6 +193,20 @@ def report_totals(doc: dict, source: str = "report") -> Totals:
     )
 
 
+def report_scores(doc: dict, source: str = "report") -> tuple:
+    """The ``final_scores`` and ``local_cross`` tables of a report document,
+    with EvalScore cells; a missing or malformed key raises
+    :class:`ReportError` naming its key path."""
+
+    def fail(key: str, why: str) -> ReportError:
+        return ReportError(f"{source}: {key}: {why}")
+
+    return (
+        from_json(Mapping[str, EvalScore], doc.get("final_scores"), fail, "final_scores"),
+        from_json(Mapping[str, Mapping[str, EvalScore]], doc.get("local_cross"), fail, "local_cross"),
+    )
+
+
 def save_report(doc: dict, path: str) -> None:
     try:
         with open(path, "w") as fh:

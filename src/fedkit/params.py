@@ -225,7 +225,7 @@ def _value_check(hint) -> tuple:
 @functools.cache
 def _schema(cls) -> dict:
     """Per field of dataclass ``cls``: (required, shape, the nested
-    dataclass or the value check). Resolved once per class."""
+    dataclass or Mapping type, or the value check). Resolved once per class."""
     hints = typing.get_type_hints(cls)
     schema = {}
     for f in dataclasses.fields(cls):
@@ -238,7 +238,7 @@ def _schema(cls) -> dict:
         elif origin is tuple and args and dataclasses.is_dataclass(args[0]):
             shape, arg = _ARRAY, args[0]
         elif origin is collections.abc.Mapping:
-            shape, arg = _MAPPING, args[1]
+            shape, arg = _MAPPING, hint
         else:
             shape, arg = _VALUE, _value_check(hint)
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
@@ -251,8 +251,9 @@ def _path(where: str, key: str) -> str:
 
 
 def from_json(cls, obj, fail, where: str = "", **given):
-    """Build dataclass ``cls`` from the JSON object ``obj`` at key path
-    ``where``; the inverse of :func:`to_json`.
+    """Build dataclass ``cls``, or a ``Mapping[str, X]`` of a dataclass or
+    mapping X, from the JSON object ``obj`` at key path ``where``; the
+    inverse of :func:`to_json`.
 
     An object takes exactly the field names of ``cls`` as keys. A field
     without a default is required, an omitted key takes its default, and an
@@ -264,6 +265,9 @@ def from_json(cls, obj, fail, where: str = "", **given):
     """
     if type(obj) is not dict:
         raise fail(where, f"must be an object, got {type(obj).__name__}")
+    if not isinstance(cls, type):  # Mapping[str, X]: an X under each key
+        arg = typing.get_args(cls)[1]
+        return {key: from_json(arg, item, fail, _path(where, key)) for key, item in obj.items()}
     schema = _schema(cls)
     if not schema.keys() >= obj.keys() or (given and not given.keys().isdisjoint(obj)):
         key = next(key for key in obj if key not in schema or key in given)
@@ -285,7 +289,7 @@ def from_json(cls, obj, fail, where: str = "", **given):
         path = _path(where, name)
         if shape is _VALUE:
             raise fail(path, f"invalid value: expected {arg[0]}, got {_TYPE_NAMES[type(value)]}")
-        if shape is _OBJECT:
+        if shape is _OBJECT or shape is _MAPPING:
             value = from_json(arg, value, fail, path)
         elif shape is _VECTOR:
             # Finiteness and size are the ParameterVector constructor's checks.
@@ -295,14 +299,10 @@ def from_json(cls, obj, fail, where: str = "", **given):
                 value = ParameterVector(value)
             except (FedkitError, OverflowError) as exc:
                 raise fail(path, f"invalid value: {exc}") from exc
-        elif shape is _ARRAY:
+        else:
             if type(value) is not list:
                 raise fail(path, "must be an array of objects")
             value = tuple(from_json(arg, item, fail, path) for item in value)
-        else:
-            if type(value) is not dict:
-                raise fail(path, f"must be an object, got {type(value).__name__}")
-            value = {key: from_json(arg, item, fail, path) for key, item in value.items()}
         kwargs[name] = value
     try:
         return cls(**kwargs)

@@ -321,6 +321,27 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "ReportError" in out
 
+    def edit_report_exits_2(self, tmp_path, capsys, name, local_cross):
+        directory = self.simulate_fitted(tmp_path, name, 1.0)
+        report_path = Path(directory, "report.json")
+        doc = json.loads(report_path.read_text())
+        doc["local_cross"] = local_cross
+        report_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--in", directory]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_local_cross_row_that_is_not_an_object_exits_2_naming_it(self, tmp_path, capsys):
+        err = self.edit_report_exits_2(tmp_path, capsys, "row", {"basel": [0.1, 0.2]})
+        assert "local_cross.basel: must be an object, got list" in err
+
+    def test_local_cross_cell_missing_a_key_exits_2_naming_it(self, tmp_path, capsys):
+        cell = {"std": 0.0, "metric": "mse_loss"}
+        err = self.edit_report_exits_2(tmp_path, capsys, "cell", {"basel": {"basel": cell}})
+        assert "local_cross.basel.basel.mean: missing required key" in err
+
     def test_local_cross_renders_table(self, tmp_path, capsys):
         doc = {
             "sites": [{"name": s} for s in SITES],

@@ -208,6 +208,12 @@ class TestReportSerialization:
         again = report_to_dict(load_report_doc(json.loads(json.dumps(doc))))
         assert again == doc
 
+    def test_malformed_mapping_entry_names_its_key(self):
+        doc = report_to_dict(make_report())
+        del doc["final_scores"]["b"]["mean"]
+        with pytest.raises(ReportError, match=r"^final_scores\.b\.mean: missing required key"):
+            load_report_doc(doc)
+
     def test_render_summary_mentions_totals_in_hours(self):
         report = make_report()
         text = render_summary(report, title="demo")
