@@ -55,9 +55,7 @@ def cmd_server(args) -> int:
         return EXIT_CONFIG
     cfg = document.federation
     try:
-        server = FederationServer(
-            cfg, listen, resume=args.resume, startup_timeout=args.startup_timeout
-        )
+        server = FederationServer(cfg, listen, resume=args.resume)
     except CheckpointError as exc:
         _err(str(exc))
         return EXIT_STARTUP
@@ -99,10 +97,14 @@ def cmd_client(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
+        # Each scenario's report directory is named by its file's stem.
+        stems = [os.path.splitext(os.path.basename(path))[0] for path in args.scenario]
+        repeated = [path for path, stem in zip(args.scenario, stems) if stems.count(stem) > 1]
+        if repeated:
+            raise ConfigError(f"scenarios {', '.join(repeated)} share a report directory name")
         os.makedirs(args.out, exist_ok=True)
-        for path in args.scenario:
+        for path, stem in zip(args.scenario, stems):
             document = load_config(path)
-            stem = os.path.splitext(os.path.basename(path))[0]
             scenario_dir = os.path.join(args.out, stem)
             os.makedirs(scenario_dir, exist_ok=True)
             scenario = document.scenario or SimScenario(federation=document.federation)
@@ -209,7 +211,6 @@ def main(argv=None) -> int:
     p.add_argument("--config", required=True, help="path to the config file")
     p.add_argument("--listen", default=DEFAULT_LISTEN, help="HOST:PORT to listen on")
     p.add_argument("--resume", action="store_true", help="resume from the checkpoint")
-    p.add_argument("--startup-timeout", type=float, default=30.0, help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_server)
 
     p = commands.add_parser("client", help="run one site against a server")

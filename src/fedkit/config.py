@@ -10,8 +10,8 @@ A config file is a single document: the fields of
 field's default, and every module invariant is re-checked at load time.
 Any invalid key or value raises :class:`~fedkit.errors.ConfigError` naming
 its key, with a line anchor into the file wherever one can be found. The
-config echo in a report, :func:`~fedkit.server.config_to_dict`, parses
-back to an equal config with the same config hash.
+config echo in a report, :func:`~fedkit.params.to_json` of the config,
+parses back to an equal config with the same config hash.
 """
 from __future__ import annotations
 

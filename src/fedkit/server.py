@@ -101,7 +101,7 @@ class FederationConfig:
     def __post_init__(self):
         sites = tuple(self.sites)
         if not sites:
-            raise ConfigError("at least one site is required")
+            raise ConfigError("sites must list at least one site")
         names = [s.name for s in sites]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate site names: {names}")
@@ -155,12 +155,6 @@ class FederationConfig:
         return with_fraction(self.heterogeneity, self.sites[index].fraction)
 
 
-def config_to_dict(cfg: FederationConfig) -> dict:
-    """Canonical JSON-ready form; the config echo in reports. It parses back
-    to an equal config."""
-    return to_json(cfg)
-
-
 def config_hash(cfg: FederationConfig) -> str:
     """Identity of the experiment a checkpoint belongs to.
 
@@ -168,7 +162,7 @@ def config_hash(cfg: FederationConfig) -> str:
     checkpoint file or adjusting a timeout does not change the experiment,
     while resuming under a different algorithm or data config must fail.
     """
-    doc = config_to_dict(cfg)
+    doc = to_json(cfg)
     doc.pop("checkpoint_path")
     doc.pop("round_timeout_seconds")
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -664,7 +658,7 @@ def build_experiment_report(
         records,
         final_scores,
         final_global=final_global,
-        config=config_to_dict(cfg),
+        config=to_json(cfg),
         validate_seconds=validate_seconds,
         status=status,
     )
@@ -673,6 +667,7 @@ def build_experiment_report(
 # --- TCP runtime ---------------------------------------------------------------
 
 POLL_SECONDS = 0.2  # longest the loop sleeps before it looks at stop() again
+STARTUP_TIMEOUT_SECONDS = 30.0  # how long run() waits for the first join
 SEND_TIMEOUT_SECONDS = 0.5  # bounds a send to a peer that stopped reading
 # What a connection may buffer before it has joined; a join_request frame is
 # about 70 B, so anything past this is not a client.
@@ -713,7 +708,6 @@ class FederationServer:
         listen=("127.0.0.1", 0),
         *,
         resume: bool = False,
-        startup_timeout: float = 30.0,
     ):
         self.cfg = cfg
         self._cfg_hash = config_hash(cfg)
@@ -726,7 +720,6 @@ class FederationServer:
         self._coordinator = FederationCoordinator(
             cfg, start_round=start_round, start_global=start_global
         )
-        self._startup_timeout = startup_timeout
         self._stopped = False
         self._connections: dict = {}  # site -> the _Connection that owns it
         self._listener = socket.create_server(listen)
@@ -791,8 +784,8 @@ class FederationServer:
                     self._accept()
                 else:
                     self._read(key.data)
-            if not self._any_join and now - started > self._startup_timeout:
-                raise StartupError(f"no client joined within {self._startup_timeout:.0f} s")
+            if not self._any_join and now - started > STARTUP_TIMEOUT_SECONDS:
+                raise StartupError(f"no client joined within {STARTUP_TIMEOUT_SECONDS:.0f} s")
         return True
 
     def _accept(self) -> None:

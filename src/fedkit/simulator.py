@@ -27,11 +27,10 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .client import ClientConfig, ClientSession, Exit, TrainTask
+from .client import ClientConfig, ClientSession, TrainTask
 from .errors import ConfigError, ReportError
 from .metrics import ExperimentReport, report_totals
 from .params import ParameterVector
@@ -96,7 +95,7 @@ class SimScenario:
             if site not in names:
                 raise ConfigError(f"site_multipliers names unknown site {site!r}")
             if not mult > 0 or not math.isfinite(mult):
-                raise ConfigError(f"multiplier for {site!r} must be finite and > 0, got {mult}")
+                raise ConfigError(f"site_multipliers[{site!r}] must be finite and > 0, got {mult}")
         if not self.base_round_cost_seconds > 0:
             raise ConfigError(
                 f"base_round_cost_seconds must be > 0, got {self.base_round_cost_seconds}"
@@ -203,7 +202,6 @@ class _SimClient:
         self.connected = False
         self.reconnecting = False
         self.down_until = 0.0
-        self.exit_code: Optional[int] = None
 
     # -- connection management
 
@@ -221,20 +219,16 @@ class _SimClient:
     def process_crash(self, downtime: float) -> None:
         self.drop_connection(downtime)
         self.session.reset_process_state()
-        self.reconnecting = False
         if math.isfinite(downtime):
             self.sim.loop.push(downtime, self._start_reconnect)
 
     def _start_reconnect(self) -> None:
-        if self.reconnecting or self.exit_code is not None:
+        if self.reconnecting:
             return
         self.reconnecting = True
         delays = self.cfg.reconnect_backoff.delays()
 
         def attempt() -> None:
-            if self.connected or self.exit_code is not None:
-                self.reconnecting = False
-                return
             if self.sim.coordinator is not None and self.sim.loop.now >= self.down_until:
                 self.reconnecting = False
                 self.connected = True
@@ -248,7 +242,7 @@ class _SimClient:
     # -- message handling
 
     def receive(self, frame: bytes) -> None:
-        if not self.connected or self.exit_code is not None:
+        if not self.connected:
             return
         msg = decode(frame)  # every delivery is exactly one frame
         # A client fault fires when its round's task reaches the client.
@@ -272,9 +266,6 @@ class _SimClient:
                 self.sim.loop.push(
                     self.train_seconds, lambda u=update: self._run(self.session.on_trained(u))
                 )
-            elif isinstance(cmd, Exit):
-                self.exit_code = cmd.code
-                self.connected = False
 
     def _send(self, message: Message) -> None:
         if self.connected and self.sim.coordinator is not None:
@@ -399,17 +390,15 @@ def simulate(scenario: SimScenario) -> SimulationReport:
     """Run a scenario to completion (or to a diagnosed hang) in virtual time.
 
     Deterministic for a fixed scenario: two calls produce identical reports.
-    Any pre-existing checkpoint file is removed first so a stale checkpoint
-    from an earlier run cannot leak into this one. A scenario that stops
+    A file already at the checkpoint path is never read: a restart before
+    this run's first save starts over, and that save replaces the file. The
+    run ends when the coordinator finishes, so its closing frames
+    (``experiment_done``, ``abort``) are not delivered. A scenario that stops
     completing rounds for 100 times its slowest round (at least
     ``DEFAULT_NO_PROGRESS_SECONDS``) of virtual time is reported as a hung
     experiment with a diagnosis, not an error.
     """
     cfg = scenario.federation
-    try:
-        os.remove(cfg.checkpoint_path)
-    except FileNotFoundError:
-        pass
     sim = _Simulation(scenario)
     sim.run()
 

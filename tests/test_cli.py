@@ -68,12 +68,10 @@ class TestServerCommand:
         assert code == 3
         assert "invalid parameters" in capsys.readouterr().err
 
-    def test_startup_timeout_exits_3(self, tmp_path, capsys):
+    def test_startup_timeout_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(server, "STARTUP_TIMEOUT_SECONDS", 0.4)
         path = write_config(tmp_path)
-        code = main(
-            ["server", "--config", path, "--listen", "127.0.0.1:0",
-             "--startup-timeout", "0.4"]
-        )
+        code = main(["server", "--config", path, "--listen", "127.0.0.1:0"])
         assert code == 3
 
     def test_full_lifecycle_exit_0_with_report_written(self, tmp_path, capsys):
@@ -220,6 +218,19 @@ class TestSimulateCommand:
         summary = (tmp_path / "out" / "hung" / "summary.txt").read_text()
         assert "finding" in summary
         assert "waiting on" in summary
+
+    def test_scenarios_sharing_a_stem_exit_2_before_any_run(self, tmp_path, capsys):
+        # Both would write OUT/x; the second run would silently replace the first.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = self.write_scenario(tmp_path / "a", "x", {}, rounds=2)
+        second = self.write_scenario(tmp_path / "b", "x", {}, rounds=5)
+        out = tmp_path / "out"
+        args = ["simulate", "--scenario", first, "--scenario", second, "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert first in err and second in err
+        assert not out.exists()
 
     def test_invalid_scenario_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from fedkit import ConfigError
+from fedkit.cli import main
 from fedkit.config import load_config, parse_config
-from fedkit.server import config_hash, config_to_dict
+from fedkit.params import to_json
+from fedkit.server import config_hash
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -192,6 +194,61 @@ class TestParseConfig:
         assert scenario.faults[0].downtime_seconds == math.inf
 
 
+def fault(**fields):
+    return {"simulator": {"faults": [{"at_round": 0, "target": "a", **fields}]}}
+
+
+def heterogeneity(**fields):
+    return {"heterogeneity": {"base_optimum": [1.0, -1.0], **fields}}
+
+
+# One case per value check in the config dataclasses: the overrides, and
+# the key the error must name.
+INVALID_VALUES = {
+    "site_name": ({"sites": [{"name": ""}, {"name": "b"}]}, "name"),
+    "site_fraction": ({"sites": [{"name": "a", "fraction": 0}]}, "fraction"),
+    "no_sites": ({"sites": []}, "sites"),
+    "duplicate_sites": ({"sites": [{"name": "a"}, {"name": "a"}]}, "name"),
+    "no_expected_site": ({"sites": [{"name": "a", "expected": False}]}, "expected"),
+    "rounds": ({"rounds": 0}, "rounds"),
+    "on_client_loss": ({"on_client_loss": "retry"}, "on_client_loss"),
+    "checkpoint_path": ({"checkpoint_path": ""}, "checkpoint_path"),
+    "round_timeout_zero": ({"round_timeout_seconds": 0}, "round_timeout_seconds"),
+    "trainer": ({"trainer": {"trainer": "cnn"}}, "trainer"),
+    "batch": ({"trainer": {"batch": "mini"}}, "batch"),
+    "seed": ({"trainer": {"seed": -1}}, "seed"),
+    "base_optimum_empty": (heterogeneity(base_optimum=[]), "base_optimum"),
+    "base_optimum_nan": (heterogeneity(base_optimum=[1.0, math.nan]), "base_optimum"),
+    "shift_scale": (heterogeneity(shift_scale=-1.0), "shift_scale"),
+    "noise_std": (heterogeneity(noise_std=-1.0), "noise_std"),
+    "samples_per_site": (heterogeneity(samples_per_site=0), "samples_per_site"),
+    "fault_at_round": (fault(at_round=-1), "at_round"),
+    "fault_kind": (fault(kind="explode"), "kind"),
+    "fault_downtime": (fault(downtime_seconds=-1.0), "downtime_seconds"),
+    "site_multipliers": ({"simulator": {"site_multipliers": {"a": 0}}}, "site_multipliers"),
+    "base_round_cost": ({"simulator": {"base_round_cost_seconds": 0}}, "base_round_cost_seconds"),
+    "aggregation_cost": ({"simulator": {"aggregation_cost_seconds": -1.0}},
+                         "aggregation_cost_seconds"),
+    "weighting": ({"algorithm": {"weighting": "bogus"}}, "weighting"),
+}
+
+
+class TestValueChecks:
+    @pytest.mark.parametrize("overrides, key", INVALID_VALUES.values(), ids=list(INVALID_VALUES))
+    def test_invalid_value_names_its_key(self, overrides, key):
+        with pytest.raises(ConfigError) as info:
+            parse(minimal_config(**overrides))
+        assert key in str(info.value)
+
+    @pytest.mark.parametrize("overrides, key", INVALID_VALUES.values(), ids=list(INVALID_VALUES))
+    def test_simulate_exits_2(self, tmp_path, capsys, overrides, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(**overrides)))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        # tmp_path is named after the test, so it may contain the key.
+        assert key in capsys.readouterr().err.replace(str(tmp_path), "")
+
+
 def readme_example():
     text = README.read_text()
     return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
@@ -201,7 +258,7 @@ class TestConfigEcho:
     @pytest.mark.parametrize("doc", [minimal_config(), readme_example()], ids=["minimal", "readme"])
     def test_echo_parses_back_to_the_same_config(self, doc):
         cfg = parse(doc).federation
-        again = parse_config(json.dumps(config_to_dict(cfg))).federation
+        again = parse_config(json.dumps(to_json(cfg))).federation
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
 

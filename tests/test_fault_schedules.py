@@ -2,8 +2,9 @@
 
 Under ``wait`` every fault with a finite downtime preserves the quorum, so
 any such schedule of server crashes, client crashes and disconnects must
-end in the fault-free run's global model, bit for bit. Ditto personal
-models of sites whose process never crashed must match too.
+end in the fault-free run's global model, bit for bit, under fedavg,
+fedprox and ditto alike. Ditto personal models of sites whose process
+never crashed must match too.
 
 Under ``continue_without`` dropped sites change the model, so the oracle
 is each round recomputed from the sites its record lists as submitted.
@@ -39,14 +40,16 @@ ROUNDS = 5
 SITES = ("a", "b", "c", "d")
 MULTIPLIERS = {"a": 1.0, "b": 2.5, "c": 1.7, "d": 3.0}
 DITTO = AlgorithmConfig(kind="ditto", ditto_lambda=0.5)
+ALGORITHMS = (AlgorithmConfig(), AlgorithmConfig(kind="fedprox", prox_mu=0.3), DITTO)
 
 
-def make_scenario(directory, site_count, faults=(), name="ckpt", rounds=ROUNDS, local_steps=1):
+def make_scenario(directory, site_count, faults=(), name="ckpt", rounds=ROUNDS, local_steps=1,
+                  algorithm=DITTO):
     sites = SITES[:site_count]
     federation = FederationConfig(
         sites=tuple(SiteSpec(s) for s in sites),
         rounds=rounds,
-        algorithm=DITTO,
+        algorithm=algorithm,
         trainer=TrainerConfig(lr=0.1, local_steps=local_steps, seed=3),
         heterogeneity=HeterogeneityConfig(base_optimum=[1.0, -2.0, 0.5], shift_scale=0.3,
                                           noise_std=0.2, samples_per_site=12),
@@ -68,12 +71,17 @@ def checkpoints(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def fault_free(checkpoints):
-    """The fault-free run per site count."""
-    return {n: simulate(make_scenario(checkpoints, n, name="plain")) for n in (3, 4)}
+    """The fault-free run per algorithm and site count."""
+    return {
+        (algorithm, n): simulate(make_scenario(checkpoints, n, name="plain", algorithm=algorithm))
+        for algorithm in ALGORITHMS
+        for n in (3, 4)
+    }
 
 
 @st.composite
 def schedules(draw):
+    algorithm = draw(st.sampled_from(ALGORITHMS))
     site_count = draw(st.integers(3, 4))
     downtimes = st.sampled_from([0.0, 4.0, 12.5, 40.0, 95.0])
     server = st.builds(FaultEvent, at_round=st.integers(0, ROUNDS - 1), target=st.just("server"),
@@ -90,25 +98,24 @@ def schedules(draw):
         faults.insert(draw(st.integers(0, len(faults))),
                       FaultEvent(at_round=first.at_round, target=first.target, kind=kind,
                                  downtime_seconds=draw(downtimes)))
-    return site_count, tuple(faults)
+    return algorithm, site_count, tuple(faults)
 
 
 @given(schedule=schedules())
 @settings(max_examples=100, deadline=None)
 def test_any_quorum_preserving_schedule_is_transparent(checkpoints, fault_free, schedule):
-    site_count, faults = schedule
-    plain = fault_free[site_count]
-    faulted = simulate(make_scenario(checkpoints, site_count, faults))
+    algorithm, site_count, faults = schedule
+    plain = fault_free[algorithm, site_count]
+    faulted = simulate(make_scenario(checkpoints, site_count, faults, algorithm=algorithm))
     assert faulted.status == "completed", faulted.diagnosis
     assert faulted.final_global == plain.final_global
     assert faulted.round_globals == plain.round_globals
+    if algorithm.kind != "ditto":
+        return
     crashed = {f.target for f in faults if f.kind == "crash"}
     for site in SITES[:site_count]:
         if site not in crashed:
             assert faulted.personal_models[site] == plain.personal_models[site], site
-
-
-ALGORITHMS = (AlgorithmConfig(), AlgorithmConfig(kind="fedprox", prox_mu=0.3), DITTO)
 
 
 @st.composite

@@ -137,9 +137,10 @@ class TestLoopbackExperiment:
         server_thread.join(10.0)
         assert report_holder["report"] is not None
 
-    def test_startup_timeout_without_clients(self, tmp_path):
+    def test_startup_timeout_without_clients(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fedkit.server, "STARTUP_TIMEOUT_SECONDS", 0.5)
         cfg = make_cfg(tmp_path, rounds=1)
-        server = FederationServer(cfg, ("127.0.0.1", 0), startup_timeout=0.5)
+        server = FederationServer(cfg, ("127.0.0.1", 0))
         with pytest.raises(StartupError):
             server.run()
 

@@ -12,6 +12,7 @@ from fedkit import (
     FaultEvent,
     FederationConfig,
     HeterogeneityConfig,
+    ParameterVector,
     ReportError,
     SimScenario,
     SiteSpec,
@@ -19,6 +20,7 @@ from fedkit import (
     simulate,
     speedup,
 )
+from fedkit.server import config_hash, resume_from_checkpoint, save_checkpoint
 
 
 def make_cfg(tmp_path, rounds=4, name="ckpt", **kw):
@@ -210,6 +212,25 @@ class TestFaultTolerance:
         crash = FaultEvent(at_round=2, target="server", kind="crash", downtime_seconds=10.0)
         with pytest.raises(CheckpointError):
             simulate(scenario(tmp_path, {}, name="corrupt", faults=(crash,)))
+
+    def test_stale_checkpoint_never_leaks_into_a_run(self, tmp_path):
+        # The path already holds rounds 2 and 3 of this very experiment, and
+        # the server crashes as round 0 opens, before this run saves anything.
+        plain = simulate(scenario(tmp_path, {"b": 2.0}, rounds=5, name="plain"))
+        crash = FaultEvent(at_round=0, target="server", kind="crash", downtime_seconds=4.0)
+        stale = scenario(tmp_path, {"b": 2.0}, rounds=5, name="stale", faults=(crash,))
+        cfg = stale.federation
+        for round_index in (2, 3):
+            save_checkpoint(cfg.checkpoint_path, round_index, ParameterVector([9.0, -9.0, 9.0]),
+                            config_hash(cfg))
+        faulted = simulate(stale)
+        assert faulted.status == "completed", faulted.diagnosis
+        assert faulted.reconnects >= 3
+        assert faulted.final_global == plain.final_global
+        assert faulted.round_globals == plain.round_globals
+        assert resume_from_checkpoint(cfg.checkpoint_path, config_hash(cfg)) == (
+            plain.final_global, cfg.rounds
+        )
 
     def test_client_disconnect_resubmits_and_is_transparent(self, tmp_path):
         plain = simulate(scenario(tmp_path, {}, rounds=5, name="r"))
