@@ -35,7 +35,6 @@ from .errors import (
     ExperimentAborted,
     FedkitError,
     IoError,
-    NeedMoreBytes,
     NumericError,
     ProtocolError,
     ReportError,

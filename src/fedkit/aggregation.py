@@ -36,15 +36,16 @@ class AlgorithmConfig:
 
     def __post_init__(self):
         if self.kind not in ALGORITHM_KINDS:
-            raise ConfigError(f"unknown algorithm kind {self.kind!r}; expected one of {ALGORITHM_KINDS}")
+            raise ConfigError(f"kind must be one of {ALGORITHM_KINDS}, got {self.kind!r}")
         if self.weighting not in WEIGHTINGS:
-            raise ConfigError(f"unknown weighting {self.weighting!r}; expected one of {WEIGHTINGS}")
+            raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
         if not math.isfinite(self.prox_mu) or self.prox_mu < 0:
             raise ConfigError(f"prox_mu must be finite and >= 0, got {self.prox_mu}")
         if not math.isfinite(self.ditto_lambda) or self.ditto_lambda < 0:
             raise ConfigError(f"ditto_lambda must be finite and >= 0, got {self.ditto_lambda}")
         if self.kind == "fedavg" and (self.prox_mu != 0.0 or self.ditto_lambda != 0.0):
-            raise ConfigError("fedavg ignores prox_mu/ditto_lambda; store them as 0")
+            name = "prox_mu" if self.prox_mu != 0.0 else "ditto_lambda"
+            raise ConfigError(f"{name} must be 0 under fedavg, which ignores it")
 
 
 def federated_average(updates: Sequence[ModelUpdate], weighting: str = "sample_count") -> ParameterVector:

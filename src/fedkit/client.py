@@ -38,26 +38,23 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class BackoffPolicy:
-    """Capped exponential reconnect delays: initial, x multiplier, up to max."""
+    """Capped exponential reconnect delays: initial, doubling, up to max."""
 
     initial_seconds: float = 0.5
     max_seconds: float = 30.0
-    multiplier: float = 2.0
 
     def __post_init__(self):
         if not 0 < self.initial_seconds <= self.max_seconds:
             raise ConfigError(
                 f"backoff requires 0 < initial <= max, got {self.initial_seconds}/{self.max_seconds}"
             )
-        if self.multiplier < 1.0:
-            raise ConfigError(f"backoff multiplier must be >= 1, got {self.multiplier}")
 
     def delays(self) -> Iterator[float]:
         """Infinite delay sequence; retrying never stops."""
         delay = self.initial_seconds
         while True:
             yield delay
-            delay = min(delay * self.multiplier, self.max_seconds)
+            delay = min(delay * 2, self.max_seconds)
 
 
 @dataclass(frozen=True)
@@ -170,7 +167,7 @@ class ClientSession:
             return [Exit(0)]
         if msg.kind == "abort":
             return [Exit(1, msg.body.reason)]
-        return []  # heartbeats, and client-only kinds from a confused server
+        return []  # client-only kinds from a confused server
 
     def train(self, round_index: int, params: ParameterVector, algorithm: AlgorithmConfig) -> ModelUpdate:
         """The local work of one round: the transmitted track, plus the

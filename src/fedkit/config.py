@@ -35,11 +35,11 @@ class ConfigDocument:
     scenario: Optional[SimScenario] = None
 
 
-def _line_of(text: str, key: str) -> Optional[int]:
-    # Best-effort anchor: the first line where the key appears quoted.
+def _line_of(text: str, key: str, below: int) -> Optional[int]:
+    # Best-effort anchor: the first line past ``below`` where the key appears quoted.
     pattern = re.compile(r'"' + re.escape(key) + r'"\s*:')
     for number, line in enumerate(text.splitlines(), start=1):
-        if pattern.search(line):
+        if number > below and pattern.search(line):
             return number
     return None
 
@@ -50,11 +50,12 @@ class _Context:
         self.source = source
 
     def fail(self, key: str, why: str) -> ConfigError:
-        # Anchor at the innermost part of the key path found in the file, so
-        # a missing key points at the object that lacks it.
-        lines = (_line_of(self.text, part) for part in reversed(key.split(".")) if part)
-        line = next((n for n in lines if n is not None), None)
-        anchor = f"{self.source}:{line}" if line is not None else self.source
+        # Anchor at the innermost key path part found, each searched below the
+        # one before, so a missing key points at the object that lacks it.
+        line = 0
+        for part in filter(None, key.split(".")):
+            line = _line_of(self.text, part, line) or line
+        anchor = f"{self.source}:{line}" if line else self.source
         return ConfigError(f"{anchor}: {key}: {why}" if key else f"{anchor}: {why}")
 
 

@@ -29,10 +29,6 @@ class ProtocolError(FedkitError):
     """A wire frame or message violates the protocol; the connection must be dropped."""
 
 
-class NeedMoreBytes(FedkitError):
-    """A frame is incomplete; feed more bytes and retry (recoverable)."""
-
-
 class EncodeError(FedkitError):
     """A message cannot be serialized (non-finite values, oversized payload)."""
 

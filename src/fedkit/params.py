@@ -307,6 +307,10 @@ def from_json(cls, obj, fail, where: str = "", **given):
     try:
         return cls(**kwargs)
     except FedkitError as exc:
+        # A check that names a field first is about that field's key.
+        name, _, why = str(exc).partition(" ")
+        if name in schema:
+            raise fail(_path(where, name), why) from exc
         raise fail(where, str(exc)) from exc
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         # A value the JSON type check admits can still fail inside the

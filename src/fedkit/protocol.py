@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .aggregation import AlgorithmConfig
-from .errors import EncodeError, NeedMoreBytes, ProtocolError
+from .errors import EncodeError, ProtocolError
 from .params import ModelUpdate, ParameterVector, field_names, from_json, to_json
 
 MAX_FRAME_BYTES = 256 * 1024 * 1024
@@ -59,7 +59,6 @@ _BODY_TYPES = {
     "join_ack": JoinAck,
     "task_assignment": TaskAssignment,
     "update_submission": ModelUpdate,
-    "heartbeat": type(None),
     "experiment_done": type(None),
     "abort": Abort,
 }
@@ -174,20 +173,17 @@ def _decode_payload(payload: bytes) -> Message:
 def decode(frame: bytes) -> Message:
     """Decode exactly one complete frame; the inverse of :func:`encode`.
 
-    Raises :class:`NeedMoreBytes` when the frame is truncated (recoverable)
-    and :class:`ProtocolError` for anything malformed, including trailing
-    bytes after the frame.
+    Raises :class:`ProtocolError` for anything else: a truncated frame,
+    trailing bytes after the frame, or a malformed payload. A byte stream is
+    read with :class:`FrameDecoder`.
     """
     frame = bytes(frame)
-    if len(frame) < _LENGTH_BYTES:
-        raise NeedMoreBytes(f"have {len(frame)} of {_LENGTH_BYTES} prefix bytes")
+    # A prefix shorter than 4 bytes reads as a length, too, and never fits.
     length = int.from_bytes(frame[:_LENGTH_BYTES], "big")
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
-    if len(frame) < _LENGTH_BYTES + length:
-        raise NeedMoreBytes(f"have {len(frame)} of {_LENGTH_BYTES + length} frame bytes")
-    if len(frame) > _LENGTH_BYTES + length:
-        raise ProtocolError(f"{len(frame) - _LENGTH_BYTES - length} trailing bytes after frame")
+    if len(frame) != _LENGTH_BYTES + length:
+        raise ProtocolError(f"not one frame: {len(frame)} bytes for a {length}-byte payload")
     return _decode_payload(frame[_LENGTH_BYTES:])
 
 

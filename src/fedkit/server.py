@@ -79,9 +79,9 @@ class SiteSpec:
 
     def __post_init__(self):
         if not self.name:
-            raise ConfigError("site name must be non-empty")
+            raise ConfigError("name must be non-empty")
         if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
-            raise ConfigError(f"site {self.name!r}: fraction must lie in (0, 1], got {self.fraction}")
+            raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction} for {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,15 @@ class FederationConfig:
             raise ConfigError("sites must list at least one site")
         names = [s.name for s in sites]
         if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate site names: {names}")
+            raise ConfigError(f"sites must have unique names, got {names}")
         if not any(s.expected for s in sites):
-            raise ConfigError("at least one site must be expected")
+            raise ConfigError("sites must include at least one expected site")
         object.__setattr__(self, "sites", sites)
         if not isinstance(self.rounds, int) or isinstance(self.rounds, bool) or self.rounds < 1:
             raise ConfigError(f"rounds must be a positive integer, got {self.rounds!r}")
         if self.on_client_loss not in LOSS_POLICIES:
             raise ConfigError(
-                f"unknown on_client_loss {self.on_client_loss!r}; expected one of {LOSS_POLICIES}"
+                f"on_client_loss must be one of {LOSS_POLICIES}, got {self.on_client_loss!r}"
             )
         if self.min_clients_per_round is not None:
             quorum = self.min_clients_per_round
@@ -126,7 +126,7 @@ class FederationConfig:
                     f"got {quorum!r}"
                 )
         elif self.on_client_loss == "continue_without":
-            raise ConfigError("continue_without requires min_clients_per_round")
+            raise ConfigError("on_client_loss continue_without requires min_clients_per_round")
         if not self.checkpoint_path:
             raise ConfigError("checkpoint_path must be non-empty")
         if self.round_timeout_seconds is not None and self.round_timeout_seconds <= 0:
@@ -825,23 +825,18 @@ class FederationServer:
 
     def _dispatch(self, conn: _Connection, msg: Message) -> None:
         now = time.monotonic()
-        if conn.site is None:
-            if msg.kind != "join_request":
-                raise ProtocolError(f"expected join_request, got {msg.kind}")
+        if conn.site is None and msg.kind == "join_request":
             self._any_join = True
             conn.site = msg.client_id
             self._connections[conn.site] = conn
             cmds = self._coordinator.on_join(conn.site, now)
-        elif msg.kind == "update_submission":
-            if msg.client_id != conn.site:
-                raise ProtocolError(
-                    f"update from {msg.client_id!r} on {conn.site!r}'s connection"
-                )
-            cmds = self._coordinator.on_update(msg.client_id, msg.body, now)
-        elif msg.kind == "heartbeat":
-            return
+        elif msg.kind == "update_submission" and msg.client_id == conn.site:
+            cmds = self._coordinator.on_update(conn.site, msg.body, now)
         else:
-            raise ProtocolError(f"unexpected {msg.kind} from client")
+            raise ProtocolError(
+                f"unexpected {msg.kind} claiming {msg.client_id!r} "
+                f"on the connection of site {conn.site!r}"
+            )
         self._execute(cmds)
 
     def _execute(self, cmds: list) -> None:

@@ -73,7 +73,9 @@ class FaultEvent:
         if self.at_round < 0:
             raise ConfigError(f"at_round must be >= 0, got {self.at_round}")
         if self.kind not in FAULT_KINDS:
-            raise ConfigError(f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}")
+            raise ConfigError(f"kind must be one of {FAULT_KINDS}, got {self.kind!r}")
+        if self.target == FAULT_TARGET_SERVER and self.kind != "crash":
+            raise ConfigError(f"kind must be 'crash' for a server fault, got {self.kind!r}")
         if math.isnan(self.downtime_seconds) or self.downtime_seconds < 0:
             raise ConfigError(f"downtime_seconds must be >= 0, got {self.downtime_seconds}")
 
@@ -95,7 +97,7 @@ class SimScenario:
             if site not in names:
                 raise ConfigError(f"site_multipliers names unknown site {site!r}")
             if not mult > 0 or not math.isfinite(mult):
-                raise ConfigError(f"site_multipliers[{site!r}] must be finite and > 0, got {mult}")
+                raise ConfigError(f"site_multipliers must be finite and > 0, got {mult} for {site!r}")
         if not self.base_round_cost_seconds > 0:
             raise ConfigError(
                 f"base_round_cost_seconds must be > 0, got {self.base_round_cost_seconds}"
@@ -112,11 +114,11 @@ class SimScenario:
         for fault in faults:
             if fault.at_round >= self.federation.rounds:
                 raise ConfigError(
-                    f"fault at_round {fault.at_round} is past the last round "
-                    f"{self.federation.rounds - 1}"
+                    f"faults must fall in rounds 0-{self.federation.rounds - 1}, "
+                    f"got at_round {fault.at_round}"
                 )
             if fault.target != FAULT_TARGET_SERVER and fault.target not in names:
-                raise ConfigError(f"fault targets unknown site {fault.target!r}")
+                raise ConfigError(f"faults must target the server or a site, got {fault.target!r}")
         object.__setattr__(self, "faults", faults)
         object.__setattr__(self, "site_multipliers", dict(self.site_multipliers))
 
@@ -341,9 +343,8 @@ class _Simulation:
         msg = decode(frame)
         if msg.kind == "join_request":
             self.feed("on_join", msg.client_id)
-        elif msg.kind == "update_submission":
+        else:  # a session sends only joins and updates
             self.feed("on_update", msg.client_id, msg.body)
-        # heartbeats and anything else carry no event
 
     def _crash_server(self, downtime: float) -> None:
         self.coordinator = None

@@ -62,13 +62,13 @@ class TrainerConfig:
 
     def __post_init__(self):
         if self.trainer not in TRAINER_KINDS:
-            raise ConfigError(f"unknown trainer {self.trainer!r}; expected one of {TRAINER_KINDS}")
+            raise ConfigError(f"trainer must be one of {TRAINER_KINDS}, got {self.trainer!r}")
         if not math.isfinite(self.lr) or self.lr <= 0:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.local_steps < 1:
             raise ConfigError(f"local_steps must be >= 1, got {self.local_steps}")
         if self.batch != "full":
-            raise ConfigError(f"only full-batch training is supported, got {self.batch!r}")
+            raise ConfigError(f"batch must be 'full' (the only mode supported), got {self.batch!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 

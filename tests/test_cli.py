@@ -292,6 +292,40 @@ class TestReportCommand:
         assert "32.14%" in out
         assert "64.18 hr" in out and "43.55 hr" in out
 
+    def test_aborted_baseline_is_not_comparable(self, tmp_path, capsys):
+        # freiburg crashes for good in round 0, so the quorum of 2 is lost.
+        doc = {
+            "sites": [{"name": "basel"}, {"name": "freiburg"}],
+            "rounds": 1,
+            "on_client_loss": "continue_without",
+            "min_clients_per_round": 2,
+            "heterogeneity": {"base_optimum": [1.0], "samples_per_site": 4},
+            "simulator": {"faults": [{"at_round": 0, "target": "freiburg",
+                                      "downtime_seconds": float("inf")}]},
+        }
+        (tmp_path / "lost.json").write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(tmp_path / "lost.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        aborted = str(tmp_path / "out" / "lost")
+        fast = self.simulate_fitted(tmp_path, "fast", 1.0)
+        capsys.readouterr()
+        assert main(["report", "--in", aborted, "--in", fast]) == 0
+        out = capsys.readouterr().out
+        assert f"{aborted}: status aborted" in out
+        assert f"{aborted} -> {fast}: not comparable (report is 'aborted', not completed)" in out
+
+    def test_zero_total_baseline_is_not_comparable(self, tmp_path, capsys):
+        zero = self.simulate_fitted(tmp_path, "zero", 1.0)
+        fast = self.simulate_fitted(tmp_path, "fast", 1.0)
+        report_path = Path(zero, "report.json")
+        doc = json.loads(report_path.read_text())
+        doc["totals"] = {"train": 0.0, "validate": 0.0, "aggregate": 0.0}
+        report_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--in", zero, "--in", fast]) == 0
+        out = capsys.readouterr().out
+        assert f"{zero} -> {fast}: not comparable (baseline total must be positive, got 0.0)" in out
+
     def test_single_report_has_no_speedup_section(self, tmp_path, capsys):
         only = self.simulate_fitted(tmp_path, "only", 1.0)
         capsys.readouterr()

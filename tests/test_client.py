@@ -39,7 +39,7 @@ def task(round_index, values=(0.0, 0.0), algorithm=None):
 
 class TestBackoffPolicy:
     def test_caps_and_never_stops(self):
-        policy = BackoffPolicy(initial_seconds=0.5, max_seconds=30.0, multiplier=2.0)
+        policy = BackoffPolicy(initial_seconds=0.5, max_seconds=30.0)
         delays = list(itertools.islice(policy.delays(), 12))
         assert delays[:7] == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0]
         assert all(d <= 30.0 for d in delays)
@@ -48,10 +48,6 @@ class TestBackoffPolicy:
     def test_initial_must_not_exceed_max(self):
         with pytest.raises(ConfigError):
             BackoffPolicy(initial_seconds=60.0, max_seconds=30.0)
-
-    def test_multiplier_at_least_one(self):
-        with pytest.raises(ConfigError):
-            BackoffPolicy(multiplier=0.5)
 
 
 class TestParseAddress:

@@ -208,8 +208,8 @@ INVALID_VALUES = {
     "site_name": ({"sites": [{"name": ""}, {"name": "b"}]}, "name"),
     "site_fraction": ({"sites": [{"name": "a", "fraction": 0}]}, "fraction"),
     "no_sites": ({"sites": []}, "sites"),
-    "duplicate_sites": ({"sites": [{"name": "a"}, {"name": "a"}]}, "name"),
-    "no_expected_site": ({"sites": [{"name": "a", "expected": False}]}, "expected"),
+    "duplicate_sites": ({"sites": [{"name": "a"}, {"name": "a"}]}, "sites"),
+    "no_expected_site": ({"sites": [{"name": "a", "expected": False}]}, "sites"),
     "rounds": ({"rounds": 0}, "rounds"),
     "on_client_loss": ({"on_client_loss": "retry"}, "on_client_loss"),
     "checkpoint_path": ({"checkpoint_path": ""}, "checkpoint_path"),
@@ -225,6 +225,7 @@ INVALID_VALUES = {
     "fault_at_round": (fault(at_round=-1), "at_round"),
     "fault_kind": (fault(kind="explode"), "kind"),
     "fault_downtime": (fault(downtime_seconds=-1.0), "downtime_seconds"),
+    "server_disconnect": (fault(target="server", kind="disconnect"), "kind"),
     "site_multipliers": ({"simulator": {"site_multipliers": {"a": 0}}}, "site_multipliers"),
     "base_round_cost": ({"simulator": {"base_round_cost_seconds": 0}}, "base_round_cost_seconds"),
     "aggregation_cost": ({"simulator": {"aggregation_cost_seconds": -1.0}},
@@ -236,9 +237,30 @@ INVALID_VALUES = {
 class TestValueChecks:
     @pytest.mark.parametrize("overrides, key", INVALID_VALUES.values(), ids=list(INVALID_VALUES))
     def test_invalid_value_names_its_key(self, overrides, key):
+        text = json.dumps(minimal_config(**overrides), indent=2)
         with pytest.raises(ConfigError) as info:
-            parse(minimal_config(**overrides))
+            parse_config(text, source="cfg.json")
         assert key in str(info.value)
+        # The message leads with its key path, and its anchor is a line where
+        # the path's last key appears in the document.
+        anchor, path = re.match(r"cfg\.json:(\d+): ([\w.]+): ", str(info.value)).groups()
+        assert path.split(".")[-1] == key
+        assert f'"{key}":' in text.splitlines()[int(anchor) - 1]
+
+    @pytest.mark.parametrize(
+        "overrides, needle",
+        [
+            ({"trainer": {"trainer": "cnn"}}, '"trainer": "cnn"'),
+            ({"algorithm": {"kind": "fedavg"}, **fault(kind="explode")}, '"kind": "explode"'),
+        ],
+        ids=["key_named_like_its_object", "key_named_like_an_earlier_key"],
+    )
+    def test_anchor_is_the_nested_keys_own_line(self, overrides, needle):
+        text = json.dumps(minimal_config(**overrides), indent=2)
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg.json")
+        anchor = int(re.match(r"cfg\.json:(\d+): ", str(info.value)).group(1))
+        assert needle in text.splitlines()[anchor - 1]
 
     @pytest.mark.parametrize("overrides, key", INVALID_VALUES.values(), ids=list(INVALID_VALUES))
     def test_simulate_exits_2(self, tmp_path, capsys, overrides, key):

@@ -3,6 +3,7 @@
 Servers and clients run in daemon threads; every experiment here is tiny
 (desk-scale trainers, a handful of rounds) so the suite stays fast.
 """
+import json
 import select
 import socket
 import threading
@@ -23,6 +24,8 @@ from fedkit import (
     FederationServer,
     HeterogeneityConfig,
     Message,
+    ModelUpdate,
+    ParameterVector,
     SiteSpec,
     StartupError,
     TrainerConfig,
@@ -34,6 +37,11 @@ from fedkit.protocol import FrameDecoder, JoinAck, TaskAssignment
 from fedkit.training import initial_global
 
 SITES = ("basel", "freiburg", "strasbourg")
+
+
+def frame_of(document) -> bytes:
+    payload = json.dumps(document).encode()
+    return len(payload).to_bytes(4, "big") + payload
 
 
 def make_cfg(tmp_path, rounds=3, **kw):
@@ -53,7 +61,7 @@ def make_cfg(tmp_path, rounds=3, **kw):
     )
 
 
-FAST_BACKOFF = BackoffPolicy(initial_seconds=0.05, max_seconds=0.5, multiplier=2.0)
+FAST_BACKOFF = BackoffPolicy(initial_seconds=0.05, max_seconds=0.5)
 
 
 class ClientThread(threading.Thread):
@@ -176,7 +184,8 @@ class TestLoopbackExperiment:
 class TestRawConnections:
     """Sockets the test drives byte by byte. Connections that have not
     joined cost no thread, may buffer only a few KiB and must open with a
-    join_request; the experiment runs on."""
+    join_request; a joined one may then send only its own site's updates.
+    A connection that breaks these rules is closed; the experiment runs on."""
 
     def start_server(self, tmp_path, **kw):
         cfg = make_cfg(tmp_path, rounds=1, **kw)
@@ -243,7 +252,28 @@ class TestRawConnections:
     def test_first_frame_other_than_join_is_dropped(self, tmp_path):
         cfg, server, thread, holder = self.start_server(tmp_path)
         with socket.create_connection(server.address) as raw:
-            raw.sendall(encode(Message("heartbeat", 0, "basel")))
+            raw.sendall(encode(Message("experiment_done", 0, "basel")))
+            self.assert_closed_by_server(raw)
+        self.complete_experiment(cfg, server, thread, holder)
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            encode(Message("update_submission", 0, "freiburg",
+                           ModelUpdate("freiburg", 0, ParameterVector([0.0, 0.0, 0.0]), 1))),
+            encode(Message("join_request", 0, "basel")),
+            frame_of({"kind": "heartbeat", "round": 0, "client_id": "basel", "body": {}}),
+        ],
+        ids=["update_claiming_another_site", "second_join", "heartbeat"],
+    )
+    def test_joined_connection_may_send_only_its_own_updates(self, tmp_path, frame):
+        cfg, server, thread, holder = self.start_server(tmp_path)
+        with socket.create_connection(server.address) as raw:
+            raw.settimeout(5.0)
+            raw.sendall(encode(Message("join_request", 0, "basel")))
+            [ack] = receive(raw, FrameDecoder(), 1)
+            assert ack.kind == "join_ack" and ack.body.accepted
+            raw.sendall(frame)
             self.assert_closed_by_server(raw)
         self.complete_experiment(cfg, server, thread, holder)
 

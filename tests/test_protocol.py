@@ -12,7 +12,6 @@ from fedkit import (
     FrameDecoder,
     Message,
     ModelUpdate,
-    NeedMoreBytes,
     ParameterVector,
     ProtocolError,
     decode,
@@ -28,7 +27,6 @@ def random_message(rng) -> Message:
             "join_ack",
             "task_assignment",
             "update_submission",
-            "heartbeat",
             "experiment_done",
             "abort",
         ]
@@ -70,7 +68,7 @@ def random_message(rng) -> Message:
 
 class TestFraming:
     def test_prefix_is_payload_length(self):
-        frame = encode(Message("heartbeat", 0, "basel"))
+        frame = encode(Message("experiment_done", 0, "basel"))
         length = int.from_bytes(frame[:4], "big")
         assert length == len(frame) - 4
 
@@ -84,17 +82,17 @@ class TestFraming:
         assert decode(encode(msg)) == msg
 
     def test_truncated_prefix_needs_more(self):
-        frame = encode(Message("heartbeat", 0, "x"))
-        with pytest.raises(NeedMoreBytes):
+        frame = encode(Message("experiment_done", 0, "x"))
+        with pytest.raises(ProtocolError):
             decode(frame[:3])
 
     def test_truncated_payload_needs_more(self):
-        frame = encode(Message("heartbeat", 0, "x"))
-        with pytest.raises(NeedMoreBytes):
+        frame = encode(Message("experiment_done", 0, "x"))
+        with pytest.raises(ProtocolError):
             decode(frame[:-1])
 
     def test_trailing_bytes_rejected(self):
-        frame = encode(Message("heartbeat", 0, "x"))
+        frame = encode(Message("experiment_done", 0, "x"))
         with pytest.raises(ProtocolError):
             decode(frame + b"!")
 
@@ -127,7 +125,7 @@ class TestFraming:
 class TestKindPairing:
     def test_wrong_body_type_rejected_at_construction(self):
         with pytest.raises(ProtocolError):
-            Message("heartbeat", 0, "c", Abort("nope"))
+            Message("experiment_done", 0, "c", Abort("nope"))
         with pytest.raises(ProtocolError):
             Message("join_ack", 0, "c", None)
 
@@ -143,14 +141,21 @@ class TestKindPairing:
         with pytest.raises(ProtocolError):
             decode(len(payload).to_bytes(4, "big") + payload)
 
+    def test_heartbeat_is_an_unknown_kind(self):
+        # The protocol has no heartbeat: no fedkit peer sends one.
+        with pytest.raises(ProtocolError, match="unknown message kind 'heartbeat'"):
+            decode(frame_of({"kind": "heartbeat", "round": 0, "client_id": "c", "body": {}}))
+        with pytest.raises(ProtocolError, match="unknown message kind"):
+            Message("heartbeat", 0, "c")
+
     def test_missing_field_rejected(self):
-        payload = json.dumps({"kind": "heartbeat", "round": 0, "body": {}}).encode()
+        payload = json.dumps({"kind": "experiment_done", "round": 0, "body": {}}).encode()
         with pytest.raises(ProtocolError):
             decode(len(payload).to_bytes(4, "big") + payload)
 
     def test_extra_body_key_rejected(self):
         payload = json.dumps(
-            {"kind": "heartbeat", "round": 0, "client_id": "c", "body": {"x": 1}}
+            {"kind": "experiment_done", "round": 0, "client_id": "c", "body": {"x": 1}}
         ).encode()
         with pytest.raises(ProtocolError):
             decode(len(payload).to_bytes(4, "big") + payload)
@@ -230,7 +235,6 @@ GOLDEN = [
             "strasbourg", 3, ParameterVector([1.5, -0.0, 3e-300, 123456.789]), 24, train_seconds=0.125
         ),
     ),
-    Message("heartbeat", 4, "basel"),
     Message("experiment_done", 5, "basel"),
     Message("abort", 1, "söder-site", Abort(reason="quorum lost in round 1")),
 ]
@@ -239,7 +243,6 @@ GOLDEN_SHA256 = {
     "join_ack": "098070f414b689668f1b0ebb92a04df79ccd6bd13e3bb475e8e4ed47f4900107",
     "task_assignment": "c0d0b8158e41fdceb0f6fa2947f7036f965d172e16cf95057a5e0c7dddbeeda4",
     "update_submission": "a6a7c2fb647f221ffe506aa4651cd7b3730d4c810e83d6599b116069115d259a",
-    "heartbeat": "b371711b896960d25c0400572d9e0b36c89a72d1fb2cdd440ca6f9aa79915964",
     "experiment_done": "f84ca3940bef7e867cd1fdd1a7befe82209c395ead9301a2eb5858c7f66551d1",
     "abort": "e96b611e6f48afdc8903fe8ca429ed7789d957773ed2b6b511ff8270f727ab3c",
 }
@@ -312,7 +315,7 @@ class TestDecoderFuzz:
             b'"client_id":"c","kind":"update_submission","round":0}',
             b'{"body":{"params":[1.0],"sample_count":1,"train_seconds":1' + b"0" * 400 + b"},"
             b'"client_id":"c","kind":"update_submission","round":0}',
-            b'{"body":{},"client_id":"c","kind":"heartbeat","round":' + b"1" * 5000 + b"}",
+            b'{"body":{},"client_id":"c","kind":"experiment_done","round":' + b"1" * 5000 + b"}",
             b"[" * 100_000,
         ],
         ids=["huge-param", "huge-train-seconds", "overlong-integer", "deep-nesting"],
