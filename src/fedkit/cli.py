@@ -29,9 +29,8 @@ from .errors import (
     ReportError,
     StartupError,
 )
-from .params import to_json
 from .server import FederationServer
-from .simulator import SimScenario, SimulationReport, simulate, speedup
+from .simulator import SimScenario, simulate, speedup
 
 EXIT_OK = 0
 EXIT_ABORTED = 1
@@ -72,7 +71,7 @@ def cmd_server(args) -> int:
         _err(f"experiment aborted: {exc}")
         return EXIT_ABORTED
     out_dir = os.path.dirname(os.path.abspath(cfg.checkpoint_path))
-    _write_report_files(metrics.report_to_dict(report), report, out_dir)
+    _write_report_files(report, out_dir)
     print(metrics.render_summary(report, title="federation"), end="")
     return EXIT_OK
 
@@ -114,8 +113,7 @@ def cmd_simulate(args) -> int:
                 checkpoint_path=os.path.join(scenario_dir, "checkpoint.json"),
             )
             scenario = dataclasses.replace(scenario, federation=federation)
-            report = simulate(scenario)
-            _write_simulation_files(report, scenario_dir, stem)
+            _write_simulation_files(simulate(scenario).experiment, scenario_dir, stem)
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
@@ -126,75 +124,49 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    documents = []
     try:
-        for directory in args.inputs:
-            path = os.path.join(directory, "report.json")
-            doc = metrics.load_report(path)
-            totals = None if doc.get("totals") is None else metrics.report_totals(doc, path)
-            scores = metrics.report_scores(doc, path) if "local_cross" in doc else None
-            documents.append((directory, doc, totals, scores))
+        reports = [
+            (directory, metrics.load_report(os.path.join(directory, "report.json")))
+            for directory in args.inputs
+        ]
     except ReportError as exc:
         _err(str(exc))
         return EXIT_CONFIG
     print("== totals ==")
-    for directory, doc, totals, _ in documents:
-        status = f"{directory}: status {doc.get('status', '?')}"
-        if totals is None:  # a run that completed no round has no totals
-            print(status)
-        else:
-            print(
-                f"{status} | "
-                f"train {totals.train / 3600:.2f} hr | "
-                f"aggregate {totals.aggregate / 3600:.2f} hr | "
-                f"validate {totals.validate / 3600:.2f} hr | "
-                f"total {totals.total / 3600:.2f} hr"
-            )
-        if doc.get("diagnosis"):
-            print(f"  finding: {doc['diagnosis']}")
-    if len(documents) > 1:
+    for directory, report in reports:
+        print(f"{directory}: status {report.status} | {metrics.render_totals(report.totals)}")
+        if report.diagnosis:
+            print(f"  finding: {report.diagnosis}")
+    if len(reports) > 1:
         print("== speedup vs first ==")
-        base_dir, base, _, _ = documents[0]
-        for directory, doc, _, _ in documents[1:]:
+        base_dir, base = reports[0]
+        for directory, report in reports[1:]:
             try:
-                print(f"{base_dir} -> {directory}: {speedup(base, doc):.2f}%")
+                print(f"{base_dir} -> {directory}: {speedup(base, report):.2f}%")
             except ReportError as exc:
                 print(f"{base_dir} -> {directory}: not comparable ({exc})")
-    for directory, _, _, scores in documents:
-        if scores is None:
+    for directory, report in reports:
+        if report.local_cross is None:
             continue
         print(f"== global vs local ({directory}) ==")
         try:
-            table = metrics.compare_global_local(*scores)
+            table = metrics.compare_global_local(report.final_scores, report.local_cross)
             print(metrics.render_loss_table(table), end="")
         except ReportError as exc:
             print(f"section unavailable: ReportError: {exc}")
     return EXIT_OK
 
 
-def _write_report_files(doc: dict, report, out_dir: str) -> None:
-    metrics.save_report(doc, os.path.join(out_dir, "report.json"))
+def _write_report_files(report: metrics.ExperimentReport, out_dir: str) -> None:
+    metrics.save_report(report, os.path.join(out_dir, "report.json"))
     metrics.export_csv(report, os.path.join(out_dir, "rounds.csv"))
 
 
-def _write_simulation_files(report: SimulationReport, scenario_dir: str, stem: str) -> None:
-    if report.experiment is not None:
-        doc = metrics.report_to_dict(
-            report.experiment,
-            diagnosis=report.diagnosis,
-            reconnects=report.reconnects,
-            virtual_seconds=report.virtual_seconds,
-        )
-        if report.local_cross is not None:
-            doc["local_cross"] = to_json(report.local_cross)
-        if report.personal_models is not None:
-            doc["personal_models"] = to_json(report.personal_models)
-        _write_report_files(doc, report.experiment, scenario_dir)
-        summary = metrics.render_summary(report.experiment, title=stem)
-    else:
-        doc = {"status": report.status, "diagnosis": report.diagnosis}
-        metrics.save_report(doc, os.path.join(scenario_dir, "report.json"))
-        summary = f"== {stem} ({report.status}) ==\n"
+def _write_simulation_files(
+    report: metrics.ExperimentReport, scenario_dir: str, stem: str
+) -> None:
+    _write_report_files(report, scenario_dir)
+    summary = metrics.render_summary(report, title=stem)
     if report.status != "completed":
         summary += f"finding: {report.diagnosis}\n"
     with open(os.path.join(scenario_dir, "summary.txt"), "w") as fh:

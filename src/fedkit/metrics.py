@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -16,6 +17,18 @@ import numpy as np
 
 from .errors import IoError, ReportError
 from .params import EvalScore, ParameterVector, from_json, to_json
+
+
+def _check_times(record, *names) -> None:
+    """Each named time must be finite and >= 0; a failure leads with its field."""
+    for name in names:
+        seconds = getattr(record, name)
+        try:
+            valid = math.isfinite(seconds) and seconds >= 0
+        except OverflowError:  # an integer beyond float range
+            valid = False
+        if not valid:
+            raise ReportError(f"{name} must be finite and >= 0, got {seconds}")
 
 
 @dataclass(frozen=True)
@@ -27,8 +40,7 @@ class ClientRoundStat:
     submitted: bool
 
     def __post_init__(self):
-        if self.train_seconds < 0 or self.waiting_seconds < 0:
-            raise ReportError("per-client times must be non-negative")
+        _check_times(self, "train_seconds", "waiting_seconds")
 
 
 @dataclass(frozen=True)
@@ -40,8 +52,7 @@ class RoundRecord:
     aggregation_seconds: float
 
     def __post_init__(self):
-        if self.aggregation_seconds < 0:
-            raise ReportError("aggregation_seconds must be non-negative")
+        _check_times(self, "aggregation_seconds")
         object.__setattr__(self, "per_client", dict(self.per_client))
 
     @property
@@ -57,6 +68,9 @@ class Totals:
     validate: float
     aggregate: float
 
+    def __post_init__(self):
+        _check_times(self, "train", "validate", "aggregate")
+
     @property
     def total(self) -> float:
         return self.train + self.validate + self.aggregate
@@ -64,15 +78,28 @@ class Totals:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Everything one experiment produced: config echo, rounds, totals, scores."""
+    """Everything one experiment produced; report.json is this, field by field.
+
+    A run that aggregated no round has empty ``rounds`` and ``final_scores``,
+    zero totals, and a null ``global_mean`` and ``final_global``. The fields
+    after ``status`` are the simulator's and stay null on TCP: why the run
+    did not complete (empty when it did), reconnects, virtual seconds, the
+    local baseline's table (``local_cross[trained][validated]``) and the
+    ditto personal models (null for a site whose crash lost its model).
+    """
 
     config: dict
     rounds: tuple[RoundRecord, ...]
     totals: Totals
     final_scores: Mapping[str, EvalScore]
-    global_mean: EvalScore
-    final_global: ParameterVector
+    global_mean: Optional[EvalScore]
+    final_global: Optional[ParameterVector]
     status: str = "completed"
+    diagnosis: Optional[str] = None
+    reconnects: Optional[int] = None
+    virtual_seconds: Optional[float] = None
+    local_cross: Optional[Mapping[str, Mapping[str, EvalScore]]] = None
+    personal_models: Optional[Mapping[str, Optional[ParameterVector]]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "rounds", tuple(self.rounds))
@@ -93,29 +120,32 @@ def summarize(
     records: Sequence[RoundRecord],
     final_scores: Mapping[str, EvalScore],
     *,
-    final_global: ParameterVector,
+    final_global: Optional[ParameterVector],
     config: Optional[dict] = None,
     validate_seconds: float = 0.0,
     status: str = "completed",
+    **findings,
 ) -> ExperimentReport:
     """Fold round records and final scores into an :class:`ExperimentReport`.
 
     Totals are sums over rounds: train is the sum of per-round training
     spans, aggregate the sum of aggregation costs. Validation happens once
     at the end, outside the rounds, so its time arrives as an argument.
+    ``findings`` set the simulator's fields.
     """
-    if not records:
-        raise ReportError("cannot summarize zero rounds")
-    train_total = float(sum(r.train_span_seconds for r in records))
-    aggregate_total = float(sum(r.aggregation_seconds for r in records))
     return ExperimentReport(
         config=dict(config or {}),
         rounds=tuple(records),
-        totals=Totals(train=train_total, validate=float(validate_seconds), aggregate=aggregate_total),
+        totals=Totals(
+            train=float(sum(r.train_span_seconds for r in records)),
+            validate=float(validate_seconds),
+            aggregate=float(sum(r.aggregation_seconds for r in records)),
+        ),
         final_scores=final_scores,
-        global_mean=score_table_mean(final_scores),
+        global_mean=score_table_mean(final_scores) if final_scores else None,
         final_global=final_global,
         status=status,
+        **findings,
     )
 
 
@@ -180,51 +210,28 @@ def export_csv(report: ExperimentReport, path: str) -> None:
 
 # --- report (de)serialization -------------------------------------------------
 
-def report_to_dict(report: ExperimentReport, **extras) -> dict:
-    """The report as a JSON-ready document; ``extras`` become extra top-level keys."""
-    return {**to_json(report), **to_json(extras)}
-
-
-def report_totals(doc: dict, source: str = "report") -> Totals:
-    """The totals of a report document; a missing or malformed key raises
-    :class:`ReportError` naming it."""
-    return from_json(
-        Totals, doc.get("totals"), lambda key, why: ReportError(f"{source}: {key}: {why}"), "totals"
-    )
-
-
-def report_scores(doc: dict, source: str = "report") -> tuple:
-    """The ``final_scores`` and ``local_cross`` tables of a report document,
-    with EvalScore cells; a missing or malformed key raises
-    :class:`ReportError` naming its key path."""
-
-    def fail(key: str, why: str) -> ReportError:
-        return ReportError(f"{source}: {key}: {why}")
-
-    return (
-        from_json(Mapping[str, EvalScore], doc.get("final_scores"), fail, "final_scores"),
-        from_json(Mapping[str, Mapping[str, EvalScore]], doc.get("local_cross"), fail, "local_cross"),
-    )
-
-
-def save_report(doc: dict, path: str) -> None:
+def save_report(report: ExperimentReport, path: str) -> None:
     try:
         with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
+            json.dump(to_json(report), fh, sort_keys=True, indent=2)
             fh.write("\n")
     except (OSError, ValueError) as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def load_report(path: str) -> dict:
+def load_report(path: str) -> ExperimentReport:
+    """The report a report.json holds, parsed whole: a missing or malformed
+    key anywhere raises :class:`ReportError` naming its key path."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ReportError(f"cannot load report {path}: {exc}") from exc
-    if type(doc) is not dict:
-        raise ReportError(f"{path}: must be an object, got {type(doc).__name__}")
-    return doc
+
+    def fail(key: str, why: str) -> ReportError:
+        return ReportError(f"{path}: {key}: {why}" if key else f"{path}: {why}")
+
+    return from_json(ExperimentReport, doc, fail)
 
 
 # --- rendering -----------------------------------------------------------------
@@ -233,17 +240,19 @@ def _hours(seconds: float) -> str:
     return f"{seconds / 3600.0:.2f} hr"
 
 
+def render_totals(t: Totals) -> str:
+    return (
+        f"train {_hours(t.train)} | aggregate {_hours(t.aggregate)} "
+        f"| validate {_hours(t.validate)} | total {_hours(t.total)}"
+    )
+
+
 def render_summary(report: ExperimentReport, *, title: str = "experiment") -> str:
     """Human-readable totals and score table (hours at presentation only)."""
     out = io.StringIO()
-    t = report.totals
     print(f"== {title} ({report.status}) ==", file=out)
     print(f"rounds: {len(report.rounds)}", file=out)
-    print(
-        f"totals: train {_hours(t.train)} | aggregate {_hours(t.aggregate)} "
-        f"| validate {_hours(t.validate)} | total {_hours(t.total)}",
-        file=out,
-    )
+    print(f"totals: {render_totals(report.totals)}", file=out)
     if report.final_scores:
         metric = report.global_mean.metric
         print(f"final {metric} per site:", file=out)

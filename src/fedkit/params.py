@@ -21,6 +21,8 @@ import numpy as np
 from .errors import DimensionError, DomainError, FedkitError, NumericError
 
 EVAL_METRICS = ("dice", "mse_loss")
+# An aggregation weight above this is no longer exact in float64.
+MAX_SAMPLE_COUNT = 2**53
 
 
 # Up to this many entries, all_finite checks them as Python floats: on a
@@ -98,8 +100,8 @@ class ModelUpdate:
     def __post_init__(self):
         if self.round < 0:
             raise DomainError(f"round must be non-negative, got {self.round}")
-        if self.sample_count < 1:
-            raise DomainError(f"sample_count must be >= 1, got {self.sample_count}")
+        if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
+            raise DomainError(f"sample_count must lie in [1, 2^53], got {self.sample_count}")
         if not math.isfinite(self.train_seconds) or self.train_seconds < 0:
             raise NumericError(f"train_seconds must be finite and >= 0, got {self.train_seconds}")
 
@@ -176,9 +178,9 @@ def to_json(value):
     """JSON-ready form of a value built from this package's types.
 
     A dataclass becomes ``{field: value}``, a parameter vector and a tuple
-    become lists, and mappings keep their keys. Config echoes, reports,
-    their extras and wire bodies all serialize through here, and
-    :func:`from_json` is the inverse, so the dataclasses are the one schema.
+    become lists, and mappings keep their keys. Config echoes, reports and
+    wire bodies all serialize through here, and :func:`from_json` is the
+    inverse, so the dataclasses are the one schema.
     """
     if type(value) in _SCALARS:
         return value
@@ -210,7 +212,7 @@ _TYPE_NAMES = {
 _ACCEPTS = {float: (int, float), tuple: (list,)}
 _NUMBERS = frozenset((int, float))
 # How a field's JSON value becomes the field: kept after a type check, a
-# nested object, an array or a mapping of nested objects, or a vector.
+# nested object, an array of nested objects, a mapping, or a vector.
 _VALUE, _OBJECT, _ARRAY, _MAPPING, _VECTOR = range(5)
 
 
@@ -223,61 +225,96 @@ def _value_check(hint) -> tuple:
 
 
 @functools.cache
+def _shape(hint) -> tuple:
+    """(shape, argument, nullable) of an annotation. The argument is the
+    nested dataclass, the mapping's value annotation, or the value check.
+    ``Optional[X]`` of a shape other than a plain value is X or null."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        shape, arg, _ = _shape(args[1] if args[0] is type(None) else args[0])
+        if shape is not _VALUE:
+            return shape, arg, True
+    if hint is ParameterVector:
+        return _VECTOR, None, False
+    if dataclasses.is_dataclass(hint):
+        return _OBJECT, hint, False
+    if origin is tuple and args and dataclasses.is_dataclass(args[0]):
+        return _ARRAY, args[0], False
+    if origin is collections.abc.Mapping:
+        return _MAPPING, args[1], False
+    return _VALUE, _value_check(hint), False
+
+
+@functools.cache
 def _schema(cls) -> dict:
-    """Per field of dataclass ``cls``: (required, shape, the nested
-    dataclass or Mapping type, or the value check). Resolved once per class."""
+    """Per field of dataclass ``cls``: (required, shape, argument, nullable).
+    Resolved once per class."""
     hints = typing.get_type_hints(cls)
-    schema = {}
-    for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        origin, args = typing.get_origin(hint), typing.get_args(hint)
-        if hint is ParameterVector:
-            shape, arg = _VECTOR, None
-        elif dataclasses.is_dataclass(hint):
-            shape, arg = _OBJECT, hint
-        elif origin is tuple and args and dataclasses.is_dataclass(args[0]):
-            shape, arg = _ARRAY, args[0]
-        elif origin is collections.abc.Mapping:
-            shape, arg = _MAPPING, hint
-        else:
-            shape, arg = _VALUE, _value_check(hint)
-        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        schema[f.name] = (required, shape, arg)
-    return schema
+    return {
+        f.name: (
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+            *_shape(hints[f.name]),
+        )
+        for f in dataclasses.fields(cls)
+    }
 
 
 def _path(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
+def _parse(shape, arg, nullable, value, fail, path: str):
+    """The field value that JSON ``value`` at key ``path`` stands for."""
+    if value is None and nullable:
+        return None
+    if shape is _VALUE:
+        if type(value) in arg[1]:
+            return value
+        raise fail(path, f"invalid value: expected {arg[0]}, got {_TYPE_NAMES[type(value)]}")
+    if shape is _OBJECT:
+        return from_json(arg, value, fail, path)
+    if shape is _MAPPING:
+        if type(value) is not dict:
+            raise fail(path, f"must be an object, got {type(value).__name__}")
+        item = _shape(arg)
+        return {key: _parse(*item, v, fail, _path(path, key)) for key, v in value.items()}
+    if shape is _VECTOR:
+        # Finiteness and size are the ParameterVector constructor's checks.
+        if type(value) is not list or not set(map(type, value)) <= _NUMBERS:
+            raise fail(path, "invalid value: expected array of numbers")
+        try:
+            return ParameterVector(value)
+        except (FedkitError, OverflowError) as exc:
+            raise fail(path, f"invalid value: {exc}") from exc
+    if type(value) is not list:
+        raise fail(path, "must be an array of objects")
+    return tuple(from_json(arg, item, fail, path) for item in value)
+
+
 def from_json(cls, obj, fail, where: str = "", **given):
-    """Build dataclass ``cls``, or a ``Mapping[str, X]`` of a dataclass or
-    mapping X, from the JSON object ``obj`` at key path ``where``; the
-    inverse of :func:`to_json`.
+    """Build dataclass ``cls`` from the JSON object ``obj`` at key path
+    ``where``; the inverse of :func:`to_json`.
 
     An object takes exactly the field names of ``cls`` as keys. A field
     without a default is required, an omitted key takes its default, and an
     omitted nested object takes the defaults of all its keys. Each plain
-    value's JSON type is checked against the field's annotation, and the
-    dataclass's own checks run last. ``given`` fields come from the caller,
-    not the document. Every failure raises ``fail(key path, why)``, the
-    caller's error type.
+    value's JSON type is checked against the field's annotation, an
+    ``Optional`` field also takes null, and the dataclass's own checks run
+    last. ``given`` fields come from the caller, not the document. Every
+    failure raises ``fail(key path, why)``, the caller's error type.
     """
     if type(obj) is not dict:
         raise fail(where, f"must be an object, got {type(obj).__name__}")
-    if not isinstance(cls, type):  # Mapping[str, X]: an X under each key
-        arg = typing.get_args(cls)[1]
-        return {key: from_json(arg, item, fail, _path(where, key)) for key, item in obj.items()}
     schema = _schema(cls)
     if not schema.keys() >= obj.keys() or (given and not given.keys().isdisjoint(obj)):
         key = next(key for key in obj if key not in schema or key in given)
         raise fail(_path(where, key), "unknown key")
     kwargs = given
-    for name, (required, shape, arg) in schema.items():
+    for name, (required, shape, arg, nullable) in schema.items():
         if name in kwargs:
             continue
         if name not in obj:
-            if shape is _OBJECT:
+            if shape is _OBJECT and not nullable:
                 kwargs[name] = from_json(arg, {}, fail, _path(where, name))
             elif required:
                 raise fail(_path(where, name), "missing required key")
@@ -285,25 +322,8 @@ def from_json(cls, obj, fail, where: str = "", **given):
         value = obj[name]
         if shape is _VALUE and type(value) in arg[1]:  # the common case formats no key path
             kwargs[name] = value
-            continue
-        path = _path(where, name)
-        if shape is _VALUE:
-            raise fail(path, f"invalid value: expected {arg[0]}, got {_TYPE_NAMES[type(value)]}")
-        if shape is _OBJECT or shape is _MAPPING:
-            value = from_json(arg, value, fail, path)
-        elif shape is _VECTOR:
-            # Finiteness and size are the ParameterVector constructor's checks.
-            if type(value) is not list or not set(map(type, value)) <= _NUMBERS:
-                raise fail(path, "invalid value: expected array of numbers")
-            try:
-                value = ParameterVector(value)
-            except (FedkitError, OverflowError) as exc:
-                raise fail(path, f"invalid value: {exc}") from exc
         else:
-            if type(value) is not list:
-                raise fail(path, "must be an array of objects")
-            value = tuple(from_json(arg, item, fail, path) for item in value)
-        kwargs[name] = value
+            kwargs[name] = _parse(shape, arg, nullable, value, fail, _path(where, name))
     try:
         return cls(**kwargs)
     except FedkitError as exc:

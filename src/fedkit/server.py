@@ -57,6 +57,7 @@ from .training import (
     generate_site_data,
     initial_global,
     metric_for,
+    param_dim,
     with_fraction,
 )
 
@@ -474,6 +475,9 @@ class FederationCoordinator:
         return cmds
 
     def on_update(self, site: str, update: ModelUpdate, now: float) -> list:
+        if update.params.dim != self._global.dim:  # checked before any state changes
+            raise ProtocolError(f"update from {site!r} has dim {update.params.dim}, "
+                                f"not the global's {self._global.dim}")
         st = self._state
         if st is None or update.round != st.round:
             self.stale_updates += 1
@@ -646,14 +650,17 @@ def evaluate_sites(cfg: FederationConfig, params: ParameterVector) -> dict:
 def build_experiment_report(
     cfg: FederationConfig,
     records: list,
-    final_global: ParameterVector,
+    final_global: Optional[ParameterVector],
     *,
     validate_seconds: float = 0.0,
     status: str = "completed",
     final_scores: Optional[dict] = None,
+    **findings,
 ) -> ExperimentReport:
+    """The run's report. Without a final model (no round aggregated) no
+    site is scored; ``findings`` set the simulator's fields."""
     if final_scores is None:
-        final_scores = evaluate_sites(cfg, final_global)
+        final_scores = {} if final_global is None else evaluate_sites(cfg, final_global)
     return summarize(
         records,
         final_scores,
@@ -661,6 +668,7 @@ def build_experiment_report(
         config=to_json(cfg),
         validate_seconds=validate_seconds,
         status=status,
+        **findings,
     )
 
 
@@ -716,6 +724,12 @@ class FederationServer:
             start_global, start_round = resume_from_checkpoint(
                 cfg.checkpoint_path, self._cfg_hash
             )
+            dim = param_dim(cfg.trainer, cfg.heterogeneity)
+            if start_global.dim != dim:
+                raise CheckpointError(
+                    f"checkpoint {cfg.checkpoint_path} holds a dim-{start_global.dim} "
+                    f"global; the config's model has dim {dim}"
+                )
             logger.info("resuming from checkpoint at round %d", start_round)
         self._coordinator = FederationCoordinator(
             cfg, start_round=start_round, start_global=start_global

@@ -32,8 +32,7 @@ from typing import Optional
 
 from .client import ClientConfig, ClientSession, TrainTask
 from .errors import ConfigError, ReportError
-from .metrics import ExperimentReport, report_totals
-from .params import ParameterVector
+from .metrics import ExperimentReport
 from .protocol import Message, decode, encode
 from .server import (
     FederationConfig,
@@ -128,42 +127,35 @@ class SimScenario:
 
 @dataclass
 class SimulationReport:
-    """What a simulation produced, including findings about non-completion."""
+    """A simulation's report, plus the global model after each aggregated
+    round, in order, which is kept for comparisons and never written.
 
-    status: str  # completed | aborted | hung
-    diagnosis: str
-    experiment: Optional[ExperimentReport]
-    round_globals: list  # global model after each aggregated round, in order
-    final_global: Optional[ParameterVector]
-    personal_models: Optional[dict]
-    local_cross: Optional[dict]
-    reconnects: int
-    virtual_seconds: float
+    Every other attribute (``status``, ``diagnosis``, ``final_global``,
+    ``reconnects``, ...) is the experiment's own.
+    """
+
+    experiment: ExperimentReport
+    round_globals: list
+
+    def __getattr__(self, name: str):
+        if name == "experiment":  # not set yet, as while copying
+            raise AttributeError(name)
+        return getattr(self.experiment, name)
 
 
 def speedup(report_a, report_b) -> float:
     """Relative total-time improvement of b over a, in percent.
 
-    Each report is a :class:`SimulationReport` or a loaded report.json
-    document; both must be completed.
+    Each report is an :class:`~fedkit.metrics.ExperimentReport` or a
+    :class:`SimulationReport`; both must be completed.
     """
-    total_a = _completed_total(report_a)
-    total_b = _completed_total(report_b)
+    for report in (report_a, report_b):
+        if report.status != "completed":
+            raise ReportError(f"report is {report.status!r}, not completed")
+    total_a = report_a.totals.total
     if total_a <= 0:
         raise ReportError(f"baseline total must be positive, got {total_a}")
-    return (total_a - total_b) / total_a * 100.0
-
-
-def _completed_total(report) -> float:
-    if isinstance(report, SimulationReport):
-        if report.status != "completed" or report.experiment is None:
-            raise ReportError(f"report is {report.status}, not completed: {report.diagnosis}")
-        return report.experiment.totals.total
-    if isinstance(report, dict):  # a loaded report.json document
-        if report.get("status") != "completed":
-            raise ReportError(f"report is {report.get('status')!r}, not completed")
-        return report_totals(report).total
-    raise ReportError(f"cannot read totals from {type(report).__name__}")
+    return (total_a - report_b.totals.total) / total_a * 100.0
 
 
 # --- the event loop ------------------------------------------------------------
@@ -420,30 +412,21 @@ def simulate(scenario: SimScenario) -> SimulationReport:
         )
 
     records = coord.records if coord is not None else []
-    final_global = coord.global_params if (coord is not None and sim.round_globals) else None
-    experiment = None
-    if records and final_global is not None:
-        experiment = build_experiment_report(
-            cfg, records, final_global, validate_seconds=0.0, status=status
-        )
-
     personal = None
     if cfg.algorithm.kind == "ditto":
         personal = {c.site: c.session.personal_params for c in sim.clients}
-
-    local_cross = _local_baseline(cfg) if scenario.local_baseline else None
-
-    return SimulationReport(
+    experiment = build_experiment_report(
+        cfg,
+        records,
+        coord.global_params if records else None,
         status=status,
         diagnosis=reason,
-        experiment=experiment,
-        round_globals=sim.round_globals,
-        final_global=final_global,
-        personal_models=personal,
-        local_cross=local_cross,
         reconnects=max(sim.connect_events - len(sim.clients), 0),
         virtual_seconds=sim.loop.now,
+        local_cross=_local_baseline(cfg) if scenario.local_baseline else None,
+        personal_models=personal,
     )
+    return SimulationReport(experiment=experiment, round_globals=sim.round_globals)
 
 
 def _local_baseline(cfg: FederationConfig) -> dict:

@@ -1,19 +1,30 @@
 """Exit-code and output contracts of every subcommand."""
+import copy
+import hashlib
 import json
+import math
 import socket
 import threading
 from pathlib import Path
 
+import pytest
 
 from fedkit import server
 from fedkit.cli import main
 from fedkit.config import load_config
+from fedkit.metrics import load_report
+from fedkit.params import to_json
 from fedkit.server import config_hash
-from fedkit.errors import ReportError
-from fedkit.metrics import ExperimentReport, report_to_dict
-from fedkit.params import from_json
 
 SITES = ("basel", "freiburg", "strasbourg")
+
+
+def loads_whole(path):
+    """The written report.json document, after checking that load_report
+    parses all of it and that to_json of the result gives it back."""
+    doc = json.loads(Path(path).read_text())
+    assert to_json(load_report(str(path))) == doc
+    return doc
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -94,8 +105,11 @@ class TestServerCommand:
             assert not t.is_alive()
         out = capsys.readouterr().out
         assert "global mean" in out
-        assert (tmp_path / "report.json").exists()
+        doc = loads_whole(tmp_path / "report.json")
         assert (tmp_path / "rounds.csv").exists()
+        simulator_only = ("diagnosis", "reconnects", "virtual_seconds", "local_cross",
+                          "personal_models")
+        assert all(doc[key] is None for key in simulator_only)
 
     def test_listen_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FEDKIT_LISTEN", "not-an-address")
@@ -251,19 +265,90 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
         assert "aggregation_cost_seconds" in capsys.readouterr().err
 
-    def test_written_report_loads_back(self, tmp_path):
-        faults = [{"at_round": 1, "target": "basel", "kind": "disconnect", "downtime_seconds": 5.0}]
-        path = self.write_scenario(tmp_path, "rt", {"basel": 2.0}, rounds=3, faults=faults)
-        self.edit_scenario(
-            path, {"local_baseline": True}, algorithm={"kind": "ditto", "ditto_lambda": 0.5}
+    def write_table(self, tmp_path):
+        """One run of each outcome, in one invocation: a completed fedavg
+        run; ditto with the local baseline whose basel crashes for good in
+        the last round, so its personal model is null; an aborted run; and
+        a run hung with no rounds. Returns the report directory."""
+        forever = float("inf")
+        ditto = self.write_scenario(
+            tmp_path, "ditto_crash", {"basel": 2.0}, rounds=3,
+            faults=[{"at_round": 2, "target": "basel", "downtime_seconds": forever}],
         )
-        assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
-        doc = json.loads((tmp_path / "out" / "rt" / "report.json").read_text())
-        extras = {"diagnosis", "reconnects", "virtual_seconds", "local_cross", "personal_models"}
-        assert extras <= set(doc)
-        report = {key: value for key, value in doc.items() if key not in extras}
-        again = from_json(ExperimentReport, report, lambda key, why: ReportError(f"{key}: {why}"))
-        assert report_to_dict(again) == report
+        self.edit_scenario(
+            ditto, {"local_baseline": True}, algorithm={"kind": "ditto", "ditto_lambda": 0.5},
+            on_client_loss="continue_without", min_clients_per_round=2,
+        )
+        aborted = self.write_scenario(
+            tmp_path, "aborted", {}, rounds=3,
+            faults=[{"at_round": 1, "target": "freiburg", "downtime_seconds": forever}],
+        )
+        self.edit_scenario(aborted, {}, on_client_loss="continue_without",
+                           min_clients_per_round=3)
+        hung = self.write_scenario(
+            tmp_path, "hung", {},
+            faults=[{"at_round": 0, "target": "server", "downtime_seconds": forever}],
+        )
+        args = ["simulate", "--out", str(tmp_path / "out")]
+        for path in (self.write_scenario(tmp_path, "fedavg", {"basel": 2.0}), ditto, aborted, hung):
+            args += ["--scenario", path]
+        assert main(args) == 0
+        return tmp_path / "out"
+
+    def test_written_report_loads_back(self, tmp_path):
+        out = self.write_table(tmp_path)
+        docs = {name: loads_whole(out / name / "report.json")
+                for name in ("fedavg", "ditto_crash", "aborted", "hung")}
+        assert docs["fedavg"]["status"] == "completed"
+        assert docs["fedavg"]["personal_models"] is None
+        assert docs["ditto_crash"]["status"] == "completed"
+        assert docs["ditto_crash"]["personal_models"]["basel"] is None
+        assert docs["ditto_crash"]["local_cross"] is not None
+        assert docs["aborted"]["status"] == "aborted"
+        hung = docs["hung"]
+        assert (hung["status"], hung["rounds"], hung["final_scores"]) == ("hung", [], {})
+        assert hung["totals"] == {"train": 0.0, "validate": 0.0, "aggregate": 0.0}
+        assert hung["global_mean"] is None and hung["final_global"] is None
+
+    def test_output_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # Relative paths keep the checkpoint path in the config echo fixed.
+        monkeypatch.chdir(tmp_path)
+        faults = [{"at_round": 1, "target": "basel", "kind": "disconnect", "downtime_seconds": 5.0}]
+        ditto = self.write_scenario(tmp_path, "ditto", {"basel": 2.0}, rounds=3, faults=faults)
+        self.edit_scenario(
+            ditto, {"local_baseline": True}, algorithm={"kind": "ditto", "ditto_lambda": 0.5}
+        )
+        fedavg = self.write_scenario(tmp_path, "fedavg", {"basel": 2.0}, rounds=3)
+        assert main(["simulate", "--scenario", ditto, "--scenario", fedavg, "--out", "out"]) == 0
+        digests = {
+            f"{name}/{file}": hashlib.sha256(Path("out", name, file).read_bytes()).hexdigest()
+            for name, files in (("ditto", ("report.json", "rounds.csv", "summary.txt")),
+                                ("fedavg", ("rounds.csv", "summary.txt")))
+            for file in files
+        }
+        rounds_csv = "0d5918412b6f48393f87c55edaeeec9d30d56ebb4145ed70a44e4e691136655b"
+        assert digests == {
+            "ditto/report.json": "4eca35569f6c57c01ebfa9464bf004f8dd7c039f3cd696633bb8d2c5c32b6736",
+            "ditto/rounds.csv": rounds_csv,
+            "ditto/summary.txt": "614f14df8979f2c9939a3e42fb20cbc0220a57e0dae451d0f5c07fb9c8d52947",
+            "fedavg/rounds.csv": rounds_csv,
+            "fedavg/summary.txt": "9698f8f6319e1c7fb6145cf2ae7b4077ab95ec7d32f24a402629b82ff8a66c75",
+        }
+
+
+def key_paths(node, keys=(), name=""):
+    """(keys to reach it, its key path as a report error names it) of every
+    key in a report document, but the config echo's; an array element
+    shares its array's key path."""
+    if isinstance(node, list):
+        for index, item in enumerate(node):
+            yield from key_paths(item, keys + (index,), name)
+    elif isinstance(node, dict):
+        for key, item in node.items():
+            path = f"{name}.{key}" if name else key
+            yield keys + (key,), path
+            if path != "config":
+                yield from key_paths(item, keys + (key,), path)
 
 
 class TestReportCommand:
@@ -424,10 +509,50 @@ class TestReportCommand:
         path.write_text(json.dumps(doc))
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
         directory = str(tmp_path / "out" / "down")
-        assert "totals" not in json.loads(Path(directory, "report.json").read_text())
+        doc = json.loads(Path(directory, "report.json").read_text())
+        assert doc["totals"] == {"train": 0.0, "validate": 0.0, "aggregate": 0.0}
         capsys.readouterr()
         assert main(["report", "--in", directory]) == 0
         out = capsys.readouterr().out
-        assert f"{directory}: status hung" in out
+        assert f"{directory}: status hung | train 0.00 hr" in out
         assert "finding:" in out
-        assert " hr" not in out
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(math.nan, "nan"), (-5, "-5"), (math.inf, "inf"), (10**400, str(10**400))],
+        ids=["nan", "negative", "inf", "beyond_float_range"],
+    )
+    def test_total_that_is_not_a_finite_non_negative_time_exits_2(
+        self, tmp_path, capsys, value, shown
+    ):
+        directory = self.simulate_fitted(tmp_path, "bad_total", 1.0)
+        report_path = Path(directory, "report.json")
+        doc = json.loads(report_path.read_text())
+        doc["totals"]["train"] = value
+        report_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--in", directory]) == 2
+        captured = capsys.readouterr()
+        assert f"totals.train: must be finite and >= 0, got {shown}" in captured.err
+        assert captured.out == ""
+
+    def test_corrupting_any_key_exits_2_naming_it(self, tmp_path, capsys):
+        # Every key of a report with every field set, the nested local_cross
+        # and personal_models cells included, in turn takes a value of the
+        # wrong JSON type.
+        report_path = TestSimulateCommand().write_table(tmp_path) / "ditto_crash" / "report.json"
+        written = json.loads(report_path.read_text())
+        paths = list(key_paths(written))
+        assert {"local_cross.basel.freiburg.mean", "personal_models.basel"} <= {p for _, p in paths}
+        for keys, path in paths:
+            doc = copy.deepcopy(written)
+            parent = doc
+            for key in keys[:-1]:
+                parent = parent[key]
+            parent[keys[-1]] = 5 if isinstance(parent[keys[-1]], str) else "?"
+            report_path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["report", "--in", str(report_path.parent)]) == 2, path
+            captured = capsys.readouterr()
+            assert f"report.json: {path}: " in captured.err, (path, captured.err)
+            assert captured.out == ""

@@ -216,8 +216,13 @@ def simulation_digest(scenario):
     """sha256 over everything simulate() returns and the decoded final
     checkpoint: the round it resumes at and its global model."""
     report = simulate(scenario)
-    experiment = to_json(report.experiment)  # None when no round was reported
-    if experiment is not None:
+    experiment = None  # for a run that aggregated no round
+    if report.rounds:
+        # The simulator's own fields are left out: the list hashes the scalars,
+        # the loop below the personal models, and no scenario sets local_cross.
+        experiment = {key: value for key, value in to_json(report.experiment).items()
+                      if key not in ("diagnosis", "reconnects", "virtual_seconds",
+                                     "local_cross", "personal_models")}
         experiment["config"].pop("checkpoint_path")
     digest = hashlib.sha256(json.dumps(
         [report.status, report.diagnosis, repr(report.virtual_seconds), report.reconnects,

@@ -34,6 +34,7 @@ from fedkit import (
     run_client,
 )
 from fedkit.protocol import FrameDecoder, JoinAck, TaskAssignment
+from fedkit.server import config_hash, save_checkpoint
 from fedkit.training import initial_global
 
 SITES = ("basel", "freiburg", "strasbourg")
@@ -181,6 +182,17 @@ class TestLoopbackExperiment:
         assert report is not None
 
 
+def assert_closed_by_server(sock, within=5.0):
+    sock.settimeout(within)
+    try:
+        data = sock.recv(1)
+    except ConnectionResetError:
+        return
+    except socket.timeout:
+        pytest.fail(f"server kept the connection open for {within} s")
+    assert data == b""
+
+
 class TestRawConnections:
     """Sockets the test drives byte by byte. Connections that have not
     joined cost no thread, may buffer only a few KiB and must open with a
@@ -202,16 +214,6 @@ class TestRawConnections:
         thread.join(10.0)
         assert not thread.is_alive()
         assert len(holder["report"].rounds) == 1
-
-    def assert_closed_by_server(self, sock, within=5.0):
-        sock.settimeout(within)
-        try:
-            data = sock.recv(1)
-        except ConnectionResetError:
-            return
-        except socket.timeout:
-            pytest.fail(f"server kept the connection open for {within} s")
-        assert data == b""
 
     def test_failed_send_is_reported_as_a_loss(self, tmp_path, monkeypatch):
         # The task to strasbourg fails to send: the server hangs that socket
@@ -246,14 +248,14 @@ class TestRawConnections:
         cfg, server, thread, holder = self.start_server(tmp_path)
         with socket.create_connection(server.address) as raw:
             raw.sendall((1 << 20).to_bytes(4, "big") + bytes(8192))
-            self.assert_closed_by_server(raw)
+            assert_closed_by_server(raw)
         self.complete_experiment(cfg, server, thread, holder)
 
     def test_first_frame_other_than_join_is_dropped(self, tmp_path):
         cfg, server, thread, holder = self.start_server(tmp_path)
         with socket.create_connection(server.address) as raw:
             raw.sendall(encode(Message("experiment_done", 0, "basel")))
-            self.assert_closed_by_server(raw)
+            assert_closed_by_server(raw)
         self.complete_experiment(cfg, server, thread, holder)
 
     @pytest.mark.parametrize(
@@ -274,7 +276,7 @@ class TestRawConnections:
             [ack] = receive(raw, FrameDecoder(), 1)
             assert ack.kind == "join_ack" and ack.body.accepted
             raw.sendall(frame)
-            self.assert_closed_by_server(raw)
+            assert_closed_by_server(raw)
         self.complete_experiment(cfg, server, thread, holder)
 
     def test_idle_connections_start_no_thread(self, tmp_path):
@@ -290,6 +292,48 @@ class TestRawConnections:
         finally:
             for raw in raws:
                 raw.close()
+
+
+class TestPeerInput:
+    """What one joined peer sends cannot stop the server. An update the
+    coordinator cannot average drops that peer's connection, and the loss
+    policy decides the round; the other sites complete the experiment."""
+
+    def run_with_raw_strasbourg(self, tmp_path, update_frame):
+        cfg = make_cfg(tmp_path, rounds=1, on_client_loss="continue_without",
+                       min_clients_per_round=2)
+        server = FederationServer(cfg, ("127.0.0.1", 0))
+        holder = {}
+        thread = threading.Thread(target=lambda: holder.update(report=server.run()), daemon=True)
+        thread.start()
+        with socket.create_connection(server.address) as raw:
+            raw.settimeout(10.0)
+            raw.sendall(encode(Message("join_request", 0, "strasbourg")))
+            threads = start_clients(cfg, server.address, SITES[:2])
+            ack, task = receive(raw, FrameDecoder(), 2)
+            assert (ack.kind, task.kind) == ("join_ack", "task_assignment")
+            raw.sendall(update_frame)
+            assert_closed_by_server(raw)
+        assert finish(threads) == [0, 0]
+        thread.join(10.0)
+        assert not thread.is_alive()
+        [record] = holder["report"].rounds
+        submitted = {site: stat.submitted for site, stat in record.per_client.items()}
+        assert submitted == {"basel": True, "freiburg": True, "strasbourg": False}
+        params, _ = resume_from_checkpoint(cfg.checkpoint_path)
+        assert params.dim == 3
+
+    def test_update_of_another_dim_drops_its_site(self, tmp_path):
+        update = ModelUpdate("strasbourg", 0, ParameterVector([0.0, 0.0]), 1)
+        self.run_with_raw_strasbourg(
+            tmp_path, encode(Message("update_submission", 0, "strasbourg", update))
+        )
+
+    def test_sample_count_past_2_53_drops_its_site(self, tmp_path):
+        body = {"params": [0.0, 0.0, 0.0], "sample_count": 10**400, "train_seconds": 0.0}
+        frame = frame_of({"kind": "update_submission", "round": 0, "client_id": "strasbourg",
+                          "body": body})
+        self.run_with_raw_strasbourg(tmp_path, frame)
 
 
 def receive(sock, decoder, count):
@@ -383,6 +427,12 @@ class TestServerRestart:
         with pytest.raises(CheckpointError, match="no checkpoint"):
             FederationServer(make_cfg(tmp_path), address, resume=True)
         socket.create_server(address).close()  # raises if the port were held
+
+    def test_resume_of_a_global_of_another_dim_fails(self, tmp_path):
+        cfg = make_cfg(tmp_path)
+        save_checkpoint(cfg.checkpoint_path, 0, ParameterVector([1.0, 2.0]), config_hash(cfg))
+        with pytest.raises(CheckpointError, match="dim-2 global; the config's model has dim 3"):
+            FederationServer(cfg, ("127.0.0.1", 0), resume=True)
 
     def test_restart_resumes_and_matches_uninterrupted_run(self, tmp_path):
         # enough rounds that the stop lands mid-experiment on loopback

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -16,12 +17,12 @@ from fedkit import (
 from fedkit.metrics import (
     CSV_HEADER,
     ExperimentReport,
+    Totals,
     render_loss_table,
     render_summary,
-    report_to_dict,
     score_table_mean,
 )
-from fedkit.params import from_json
+from fedkit.params import from_json, to_json
 
 
 def stat(train, waiting=0.0, submitted=True):
@@ -76,9 +77,22 @@ class TestSummarize:
         assert abs(report.totals.train - sum(r.train_span_seconds for r in report.rounds)) < 1e-9
         assert abs(report.totals.aggregate - sum(r.aggregation_seconds for r in report.rounds)) < 1e-9
 
-    def test_empty_records_rejected(self):
-        with pytest.raises(ReportError):
-            summarize([], {"a": dice(0.5)}, final_global=ParameterVector([0.0]))
+    def test_empty_records_give_zero_totals(self):
+        report = summarize([], {}, final_global=None, status="hung")
+        assert report.rounds == ()
+        assert report.totals == Totals(train=0.0, validate=0.0, aggregate=0.0)
+        assert report.global_mean is None
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -5.0])
+    def test_times_must_be_finite_and_non_negative(self, seconds):
+        for build, field in (
+            (lambda t: stat(t), "train_seconds"),
+            (lambda t: stat(1.0, waiting=t), "waiting_seconds"),
+            (lambda t: RoundRecord(0, {}, aggregation_seconds=t), "aggregation_seconds"),
+            (lambda t: Totals(train=1.0, validate=t, aggregate=1.0), "validate"),
+        ):
+            with pytest.raises(ReportError, match=rf"^{field} must be finite and >= 0, got"):
+                build(seconds)
 
     def test_train_span_ignores_dropped_clients(self):
         record = RoundRecord(
@@ -195,7 +209,7 @@ class TestCsvExport:
 class TestReportSerialization:
     def test_dict_round_trip(self):
         report = make_report()
-        doc = report_to_dict(report)
+        doc = to_json(report)
         again = load_report_doc(doc)
         assert again.totals == report.totals
         assert again.final_scores == report.final_scores
@@ -204,12 +218,12 @@ class TestReportSerialization:
         assert [r.round for r in again.rounds] == [r.round for r in report.rounds]
 
     def test_json_round_trip_is_a_fixed_point(self):
-        doc = report_to_dict(make_report(rounds=3))
-        again = report_to_dict(load_report_doc(json.loads(json.dumps(doc))))
+        doc = to_json(make_report(rounds=3))
+        again = to_json(load_report_doc(json.loads(json.dumps(doc))))
         assert again == doc
 
     def test_malformed_mapping_entry_names_its_key(self):
-        doc = report_to_dict(make_report())
+        doc = to_json(make_report())
         del doc["final_scores"]["b"]["mean"]
         with pytest.raises(ReportError, match=r"^final_scores\.b\.mean: missing required key"):
             load_report_doc(doc)

@@ -78,6 +78,11 @@ class TestModelUpdate:
         with pytest.raises(DomainError):
             ModelUpdate("a", 0, ParameterVector([1.0]), 0)
 
+    def test_sample_count_is_bounded_at_2_53(self):
+        assert ModelUpdate("a", 0, ParameterVector([1.0]), 2**53).sample_count == 2**53
+        with pytest.raises(DomainError, match=r"^sample_count must lie in \[1, 2\^53\]"):
+            ModelUpdate("a", 0, ParameterVector([1.0]), 2**53 + 1)
+
     def test_requires_non_negative_round(self):
         with pytest.raises(DomainError):
             ModelUpdate("a", -1, ParameterVector([1.0]), 1)

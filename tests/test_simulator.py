@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 from collections import Counter
 from pathlib import Path
@@ -339,6 +341,12 @@ class TestDeterminism:
         assert one.virtual_seconds == two.virtual_seconds
         assert len(one.round_globals) == len(two.round_globals)
         assert all(x == y for x, y in zip(one.round_globals, two.round_globals))
+
+    def test_report_reads_through_to_its_experiment(self, tmp_path):
+        report = simulate(scenario(tmp_path, {}, name="through"))
+        assert [f.name for f in dataclasses.fields(report)] == ["experiment", "round_globals"]
+        assert report.final_global is report.experiment.final_global
+        assert copy.deepcopy(report).totals == report.totals
 
 
 class TestBenchRoutes:
