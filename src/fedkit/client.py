@@ -116,12 +116,18 @@ class ClientSession:
     not process crashes; it is in-memory state). A task re-sent for the
     round already stepped restarts that round's personal step from the same
     start, so reconnects and server restarts leave it unchanged.
+
+    The algorithm arrives in each accepted join ack, not in the tasks. It is
+    experiment config, not training state, so the session keeps it for its
+    whole lifetime, crashes included. A task before any accepted ack is a
+    ``ProtocolError``.
     """
 
     def __init__(self, cfg: ClientConfig, trainer: TrainerConfig, heterogeneity: HeterogeneityConfig):
         self.cfg = cfg
         self.trainer = trainer
         self.heterogeneity = heterogeneity
+        self.algorithm: Optional[AlgorithmConfig] = None
         self.personal_params: Optional[ParameterVector] = None
         # The round whose personal step was last taken, and its start model.
         self._personal_round: Optional[int] = None
@@ -150,6 +156,7 @@ class ClientSession:
         if msg.kind == "join_ack":
             if not msg.body.accepted:
                 raise ConfigError(msg.body.reason or "join rejected")
+            self.algorithm = msg.body.algorithm
             if self._held is not None:
                 if self._held.round == msg.body.current_round:
                     logger.info(
@@ -161,8 +168,10 @@ class ClientSession:
                 self._held = None  # the federation moved on; discard
             return []
         if msg.kind == "task_assignment":
+            if self.algorithm is None:
+                raise ProtocolError(f"task for round {msg.round} before an accepted join ack")
             self._held = None  # any older unsent work is superseded
-            return [TrainTask(msg.round, msg.body.params, msg.body.algorithm)]
+            return [TrainTask(msg.round, msg.body.params, self.algorithm)]
         if msg.kind == "experiment_done":
             return [Exit(0)]
         if msg.kind == "abort":
@@ -197,7 +206,8 @@ class ClientSession:
         return [self._update_message(update)]
 
     def reset_process_state(self) -> None:
-        """Crash semantics: in-memory state (held update, personal model) is lost."""
+        """Crash semantics: in-memory state (held update, personal model) is
+        lost. The algorithm is experiment config and stays."""
         self._held = None
         self.personal_params = None
         self._personal_round = None

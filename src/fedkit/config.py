@@ -35,13 +35,50 @@ class ConfigDocument:
     scenario: Optional[SimScenario] = None
 
 
-def _line_of(text: str, key: str, below: int) -> Optional[int]:
-    # Best-effort anchor: the first line past ``below`` where the key appears quoted.
-    pattern = re.compile(r'"' + re.escape(key) + r'"\s*:')
-    for number, line in enumerate(text.splitlines(), start=1):
-        if number > below and pattern.search(line):
-            return number
-    return None
+_DECODER = json.JSONDecoder()
+_SPACE = re.compile(r"[ \t\n\r]*")
+# A key path's parts: object keys joined by dots, array indices in brackets.
+_PATH_PART = re.compile(r"([^.\[\]]+)|\[(\d+)\]")
+
+
+def _member(text: str, start: int, key: str, index: Optional[int]) -> Optional[tuple]:
+    """(anchor, value start) of member ``key`` (or element ``index``) of the
+    JSON object (or array) at ``start``; None when it has no such member.
+    The anchor is where the member's key, or the element, begins."""
+    start = _SPACE.match(text, start).end()
+    if text[start : start + 1] != ("{" if key else "["):
+        return None
+    found, pos, position = None, start + 1, 0
+    while True:
+        pos = _SPACE.match(text, pos).end()
+        if text[pos] in "]}":
+            return found
+        anchor = pos
+        if key:
+            name, pos = json.decoder.scanstring(text, pos + 1)
+            pos = _SPACE.match(text, pos).end() + 1  # past the colon
+            pos = _SPACE.match(text, pos).end()
+            if name == key:
+                found = (anchor, pos)  # json.loads keeps a repeated key's last value
+        elif position == index:
+            return anchor, pos
+        pos = _SPACE.match(text, _DECODER.raw_decode(text, pos)[1]).end()
+        pos += text[pos] == ","
+        position += 1
+
+
+def _line_of(text: str, key: str) -> int:
+    """The line of the deepest part of key path ``key`` that the document
+    holds, 0 when it holds none: a value error points at its key's own
+    line, a missing key at the object that lacks it."""
+    line, start = 0, 0
+    for name, index in _PATH_PART.findall(key):
+        member = _member(text, start, name, int(index) if index else None)
+        if member is None:
+            break
+        line = text.count("\n", 0, member[0]) + 1
+        start = member[1]
+    return line
 
 
 class _Context:
@@ -50,11 +87,7 @@ class _Context:
         self.source = source
 
     def fail(self, key: str, why: str) -> ConfigError:
-        # Anchor at the innermost key path part found, each searched below the
-        # one before, so a missing key points at the object that lacks it.
-        line = 0
-        for part in filter(None, key.split(".")):
-            line = _line_of(self.text, part, line) or line
+        line = _line_of(self.text, key)
         anchor = f"{self.source}:{line}" if line else self.source
         return ConfigError(f"{anchor}: {key}: {why}" if key else f"{anchor}: {why}")
 

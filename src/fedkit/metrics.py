@@ -221,7 +221,9 @@ def save_report(report: ExperimentReport, path: str) -> None:
 
 def load_report(path: str) -> ExperimentReport:
     """The report a report.json holds, parsed whole: a missing or malformed
-    key anywhere raises :class:`ReportError` naming its key path."""
+    key anywhere, the config echo's included, raises :class:`ReportError`
+    naming its key path."""
+    from .server import FederationConfig  # server imports this module
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -231,7 +233,9 @@ def load_report(path: str) -> ExperimentReport:
     def fail(key: str, why: str) -> ReportError:
         return ReportError(f"{path}: {key}: {why}" if key else f"{path}: {why}")
 
-    return from_json(ExperimentReport, doc, fail)
+    report = from_json(ExperimentReport, doc, fail)
+    from_json(FederationConfig, report.config, fail, "config")
+    return report
 
 
 # --- rendering -----------------------------------------------------------------

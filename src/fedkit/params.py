@@ -288,7 +288,7 @@ def _parse(shape, arg, nullable, value, fail, path: str):
             raise fail(path, f"invalid value: {exc}") from exc
     if type(value) is not list:
         raise fail(path, "must be an array of objects")
-    return tuple(from_json(arg, item, fail, path) for item in value)
+    return tuple(from_json(arg, item, fail, f"{path}[{index}]") for index, item in enumerate(value))
 
 
 def from_json(cls, obj, fail, where: str = "", **given):

@@ -11,6 +11,11 @@ printed with full round-trip precision, so a decoded vector is bit-identical
 to the encoded one. Frames larger than 256 MiB are rejected on both sides,
 which bounds memory against malformed length prefixes.
 
+The experiment's algorithm travels once per connection, in the
+``join_ack`` body; a ``task_assignment`` body carries only the round's
+global ``params``. A client that receives a task before any accepted ack
+treats it as a :class:`~fedkit.errors.ProtocolError` and reconnects.
+
 SECURITY: frames are neither encrypted nor authenticated, deliberately.
 Insufficient transport encryption and authentication are known gaps of this
 proof of concept; run it only on trusted networks.
@@ -36,15 +41,18 @@ _JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_na
 
 @dataclass(frozen=True)
 class JoinAck:
+    """The server's answer to a join. It carries the experiment's algorithm,
+    refused or not, so the task frames of a connection need not."""
+
     accepted: bool
     current_round: int
+    algorithm: AlgorithmConfig
     reason: str = ""
 
 
 @dataclass(frozen=True)
 class TaskAssignment:
     params: ParameterVector
-    algorithm: AlgorithmConfig
 
 
 @dataclass(frozen=True)
@@ -145,7 +153,7 @@ def _body_from_json(kind: str, round_index: int, client_id: str, body) -> Body:
 
     if cls is ModelUpdate:
         return from_json(cls, body, fail, round=round_index, client_id=client_id)
-    if cls is TaskAssignment:
+    if cls is JoinAck:
         _expect_keys(body["algorithm"], _ALGORITHM_KEYS, f"{kind} body: algorithm")
     return from_json(cls, body, fail)
 

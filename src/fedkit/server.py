@@ -515,7 +515,12 @@ class FederationCoordinator:
             "join_ack",
             self._round,
             site,
-            JoinAck(accepted=accepted, current_round=self._round, reason=reason),
+            JoinAck(
+                accepted=accepted,
+                current_round=self._round,
+                algorithm=self.cfg.algorithm,
+                reason=reason,
+            ),
         )
 
     def _closing_message(self, site: str) -> Message:
@@ -528,7 +533,7 @@ class FederationCoordinator:
             "task_assignment",
             self._round,
             site,
-            TaskAssignment(params=self._global, algorithm=self.cfg.algorithm),
+            TaskAssignment(params=self._global),
         )
 
     def _open_round(self, now: float) -> list:

@@ -338,17 +338,16 @@ class TestSimulateCommand:
 
 def key_paths(node, keys=(), name=""):
     """(keys to reach it, its key path as a report error names it) of every
-    key in a report document, but the config echo's; an array element
-    shares its array's key path."""
+    key in a report document, the config echo's included; an array element's
+    path adds its index."""
     if isinstance(node, list):
         for index, item in enumerate(node):
-            yield from key_paths(item, keys + (index,), name)
+            yield from key_paths(item, keys + (index,), f"{name}[{index}]")
     elif isinstance(node, dict):
         for key, item in node.items():
             path = f"{name}.{key}" if name else key
             yield keys + (key,), path
-            if path != "config":
-                yield from key_paths(item, keys + (key,), path)
+            yield from key_paths(item, keys + (key,), path)
 
 
 class TestReportCommand:
@@ -538,12 +537,14 @@ class TestReportCommand:
 
     def test_corrupting_any_key_exits_2_naming_it(self, tmp_path, capsys):
         # Every key of a report with every field set, the nested local_cross
-        # and personal_models cells included, in turn takes a value of the
-        # wrong JSON type.
+        # and personal_models cells and the config echo included, in turn
+        # takes a value of the wrong JSON type.
         report_path = TestSimulateCommand().write_table(tmp_path) / "ditto_crash" / "report.json"
         written = json.loads(report_path.read_text())
         paths = list(key_paths(written))
-        assert {"local_cross.basel.freiburg.mean", "personal_models.basel"} <= {p for _, p in paths}
+        assert {"local_cross.basel.freiburg.mean", "personal_models.basel",
+                "rounds[2].per_client.basel.train_seconds", "config.rounds",
+                "config.sites[1].name"} <= {p for _, p in paths}
         for keys, path in paths:
             doc = copy.deepcopy(written)
             parent = doc

@@ -11,6 +11,7 @@ from fedkit import (
     HeterogeneityConfig,
     Message,
     ParameterVector,
+    ProtocolError,
     TrainerConfig,
 )
 from fedkit.client import Exit, TrainTask, parse_address
@@ -25,16 +26,20 @@ def make_session(algorithm_kind="fedavg"):
     return ClientSession(cfg, trainer, het)
 
 
-def ack(current_round, accepted=True, reason=""):
-    return Message("join_ack", current_round, "basel",
-                   JoinAck(accepted=accepted, current_round=current_round, reason=reason))
+def ack(current_round, accepted=True, reason="", algorithm=None):
+    body = JoinAck(accepted=accepted, current_round=current_round,
+                   algorithm=algorithm or AlgorithmConfig(), reason=reason)
+    return Message("join_ack", current_round, "basel", body)
 
 
-def task(round_index, values=(0.0, 0.0), algorithm=None):
-    return Message(
-        "task_assignment", round_index, "basel",
-        TaskAssignment(params=ParameterVector(values), algorithm=algorithm or AlgorithmConfig()),
-    )
+def task(round_index, values=(0.0, 0.0)):
+    return Message("task_assignment", round_index, "basel", TaskAssignment(ParameterVector(values)))
+
+
+def trained(session, msg):
+    """The update a session's TrainTask for ``msg`` produces."""
+    [cmd] = session.on_message(msg)
+    return session.train(cmd.round_index, cmd.params, cmd.algorithm)
 
 
 class TestBackoffPolicy:
@@ -74,8 +79,32 @@ class TestClientSession:
 
     def test_task_produces_training_command(self):
         session = make_session()
+        session.on_message(ack(2))
         cmds = session.on_message(task(2))
         assert isinstance(cmds[0], TrainTask) and cmds[0].round_index == 2
+
+    def test_task_before_an_accepted_ack_is_a_protocol_error(self):
+        session = make_session()
+        with pytest.raises(ProtocolError, match="before an accepted join ack"):
+            session.on_message(task(0))
+
+    def test_trains_with_the_algorithm_of_the_ack(self):
+        prox = AlgorithmConfig(kind="fedprox", prox_mu=1.0)
+        updates = {}
+        for name, algorithm in (("fedavg", None), ("fedprox", prox)):
+            session = make_session()
+            session.on_message(ack(0, algorithm=algorithm))
+            [cmd] = session.on_message(task(0, (0.5, 0.5)))
+            assert cmd.algorithm == (algorithm or AlgorithmConfig())
+            updates[name] = session.train(cmd.round_index, cmd.params, cmd.algorithm)
+        assert updates["fedprox"].params != updates["fedavg"].params
+
+    def test_algorithm_survives_a_crash(self):
+        session = make_session()
+        session.on_message(ack(0, algorithm=AlgorithmConfig(kind="fedprox", prox_mu=1.0)))
+        before = trained(session, task(0, (0.5, 0.5)))
+        session.reset_process_state()
+        assert trained(session, task(0, (0.5, 0.5))) == before
 
     def test_trained_update_is_submitted_and_held(self):
         session = make_session()
@@ -106,8 +135,9 @@ class TestClientSession:
         session = make_session()
         update = session.train(1, ParameterVector([0.0, 0.0]), AlgorithmConfig())
         session.on_trained(update)
+        session.on_message(ack(1))  # resubmits the held update
         session.on_message(task(2))
-        assert session.on_message(ack(2)) == []  # held work was replaced by the task
+        assert session.on_message(ack(1)) == []  # held work was replaced by the task
 
     def test_done_and_abort_exit_codes(self):
         session = make_session()

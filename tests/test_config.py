@@ -112,8 +112,8 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "doc, key",
         [
-            (minimal_config(simulator={"faults": [{"at_round": 1}]}), "simulator.faults.target"),
-            (minimal_config(sites=[{"name": "a"}, {"expected": False}]), "sites.name"),
+            (minimal_config(simulator={"faults": [{"at_round": 1}]}), "simulator.faults[0].target"),
+            (minimal_config(sites=[{"name": "a"}, {"expected": False}]), "sites[1].name"),
         ],
     )
     def test_missing_nested_key_anchored_once(self, doc, key):
@@ -144,8 +144,8 @@ class TestParseConfig:
             ({"trainer": {"seed": 1.5}}, "trainer.seed", "integer", "number"),
             ({"heterogeneity": {"base_optimum": [1.0, -1.0], "samples_per_site": 2.5}},
              "heterogeneity.samples_per_site", "integer", "number"),
-            ({"sites": [{"name": "a", "expected": "no"}]}, "sites.expected", "boolean", "string"),
-            ({"sites": [{"name": 7}]}, "sites.name", "string", "integer"),
+            ({"sites": [{"name": "a", "expected": "no"}]}, "sites[0].expected", "boolean", "string"),
+            ({"sites": [{"name": 7}]}, "sites[0].name", "string", "integer"),
         ],
     )
     def test_wrong_json_type_names_key_and_types(self, overrides, key, expected, got):
@@ -243,7 +243,7 @@ class TestValueChecks:
         assert key in str(info.value)
         # The message leads with its key path, and its anchor is a line where
         # the path's last key appears in the document.
-        anchor, path = re.match(r"cfg\.json:(\d+): ([\w.]+): ", str(info.value)).groups()
+        anchor, path = re.match(r"cfg\.json:(\d+): ([\w.\[\]]+): ", str(info.value)).groups()
         assert path.split(".")[-1] == key
         assert f'"{key}":' in text.splitlines()[int(anchor) - 1]
 
@@ -261,6 +261,17 @@ class TestValueChecks:
             parse_config(text, source="cfg.json")
         anchor = int(re.match(r"cfg\.json:(\d+): ", str(info.value)).group(1))
         assert needle in text.splitlines()[anchor - 1]
+
+    def test_anchor_is_the_elements_own_key_line(self):
+        sites = [{"name": "a", "fraction": 0.5}, {"name": "b", "fraction": 0}]
+        text = json.dumps(minimal_config(sites=sites), indent=2)
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg.json")
+        anchor, path = re.match(r"cfg\.json:(\d+): ([\w.\[\]]+): ", str(info.value)).groups()
+        assert path == "sites[1].fraction"
+        lines = text.splitlines()
+        assert lines[int(anchor) - 1].strip() == '"fraction": 0'
+        assert '"name": "b"' in lines[int(anchor) - 2]
 
     @pytest.mark.parametrize("overrides, key", INVALID_VALUES.values(), ids=list(INVALID_VALUES))
     def test_simulate_exits_2(self, tmp_path, capsys, overrides, key):

@@ -366,13 +366,47 @@ class TestLargeUpdate:
                 conn.settimeout(10.0)
                 decoder = FrameDecoder()
                 assert [m.kind for m in receive(conn, decoder, 1)] == ["join_request"]
-                conn.sendall(encode(Message("join_ack", 0, "basel", JoinAck(True, 0))))
-                task = TaskAssignment(initial_global(cfg.trainer, heterogeneity), cfg.algorithm)
+                ack = JoinAck(True, 0, cfg.algorithm)
+                conn.sendall(encode(Message("join_ack", 0, "basel", ack)))
+                task = TaskAssignment(initial_global(cfg.trainer, heterogeneity))
                 conn.sendall(encode(Message("task_assignment", 0, "basel", task)))
                 conn.recv(1, socket.MSG_PEEK)  # the update starts to arrive
                 time.sleep(1.0)
                 assert [m.kind for m in receive(conn, decoder, 1)] == ["update_submission"]
                 assert select.select([listener], [], [], 0)[0] == []  # no reconnect
+                conn.sendall(encode(Message("experiment_done", 0, "basel")))
+                assert finish([client]) == [0]
+
+
+class TestTaskBeforeAck:
+    def test_client_drops_the_connection_and_rejoins(self, tmp_path):
+        # The algorithm arrives in the ack, so a task before any accepted ack
+        # cannot be trained: the client drops the connection and joins again.
+        cfg = make_cfg(tmp_path, rounds=1)
+        params = initial_global(cfg.trainer, cfg.heterogeneity)
+        task = encode(Message("task_assignment", 0, "basel", TaskAssignment(params)))
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            listener.settimeout(10.0)
+            client = ClientThread(cfg, "basel", listener.getsockname())
+            client.start()
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                decoder = FrameDecoder()
+                assert [m.kind for m in receive(conn, decoder, 1)] == ["join_request"]
+                conn.sendall(task)
+                assert receive(conn, decoder, 1) == []  # closed without an update
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                decoder = FrameDecoder()
+                assert [m.kind for m in receive(conn, decoder, 1)] == ["join_request"]
+                ack = JoinAck(True, 0, cfg.algorithm)
+                conn.sendall(encode(Message("join_ack", 0, "basel", ack)))
+                conn.sendall(task)
+                assert [m.kind for m in receive(conn, decoder, 1)] == ["update_submission"]
                 conn.sendall(encode(Message("experiment_done", 0, "basel")))
                 assert finish([client]) == [0]
 

@@ -34,12 +34,6 @@ def random_message(rng) -> Message:
     round_index = int(rng.integers(0, 1000))
     client = rng.choice(["basel", "freiburg", "strasbourg", "söder-site", "m0ck"])
     if kind == "join_ack":
-        body = JoinAck(
-            accepted=bool(rng.integers(0, 2)),
-            current_round=int(rng.integers(0, 1000)),
-            reason=rng.choice(["", "unknown site", "ωμέγα"]),
-        )
-    elif kind == "task_assignment":
         algo_kind = rng.choice(["fedavg", "fedprox", "ditto"])
         algorithm = AlgorithmConfig(
             kind=algo_kind,
@@ -47,10 +41,14 @@ def random_message(rng) -> Message:
             ditto_lambda=float(rng.uniform(0, 2)) if algo_kind == "ditto" else 0.0,
             weighting=rng.choice(["sample_count", "uniform"]),
         )
-        body = TaskAssignment(
-            params=ParameterVector(rng.standard_normal(int(rng.integers(1, 40)))),
+        body = JoinAck(
+            accepted=bool(rng.integers(0, 2)),
+            current_round=int(rng.integers(0, 1000)),
             algorithm=algorithm,
+            reason=rng.choice(["", "unknown site", "ωμέγα"]),
         )
+    elif kind == "task_assignment":
+        body = TaskAssignment(params=ParameterVector(rng.standard_normal(int(rng.integers(1, 40)))))
     elif kind == "update_submission":
         body = ModelUpdate(
             client_id=client,
@@ -77,7 +75,7 @@ class TestFraming:
             "task_assignment",
             3,
             "basel",
-            TaskAssignment(params=ParameterVector([0.1, -2.5, 1e-17]), algorithm=AlgorithmConfig()),
+            TaskAssignment(params=ParameterVector([0.1, -2.5, 1e-17])),
         )
         assert decode(encode(msg)) == msg
 
@@ -217,15 +215,19 @@ class TestRoundTripProperty:
 # pin the wire bytes: any codec change that alters a frame fails here.
 GOLDEN = [
     Message("join_request", 0, "basel"),
-    Message("join_ack", 2, "basel", JoinAck(accepted=True, current_round=2, reason="")),
     Message(
-        "task_assignment",
-        3,
-        "freiburg",
-        TaskAssignment(
-            params=ParameterVector([0.1, -2.5, 1e-17]),
+        "join_ack",
+        2,
+        "basel",
+        JoinAck(
+            accepted=True,
+            current_round=2,
             algorithm=AlgorithmConfig(kind="fedprox", prox_mu=0.25),
+            reason="",
         ),
+    ),
+    Message(
+        "task_assignment", 3, "freiburg", TaskAssignment(params=ParameterVector([0.1, -2.5, 1e-17]))
     ),
     Message(
         "update_submission",
@@ -240,8 +242,8 @@ GOLDEN = [
 ]
 GOLDEN_SHA256 = {
     "join_request": "adaaad1b2427486174b62762f6a1486d23e5819f53785b4083528b248d4996e2",
-    "join_ack": "098070f414b689668f1b0ebb92a04df79ccd6bd13e3bb475e8e4ed47f4900107",
-    "task_assignment": "c0d0b8158e41fdceb0f6fa2947f7036f965d172e16cf95057a5e0c7dddbeeda4",
+    "join_ack": "46cacdacff3daac0e14915c0e8682d0bb1029939002f47f13e5994d558b45e85",
+    "task_assignment": "42454dcb8b3df3ea7cfa07da00a55b68740c9bc57136d0e5b0a7fd4eb659fb3c",
     "update_submission": "a6a7c2fb647f221ffe506aa4651cd7b3730d4c810e83d6599b116069115d259a",
     "experiment_done": "f84ca3940bef7e867cd1fdd1a7befe82209c395ead9301a2eb5858c7f66551d1",
     "abort": "e96b611e6f48afdc8903fe8ca429ed7789d957773ed2b6b511ff8270f727ab3c",
@@ -327,16 +329,17 @@ class TestDecoderFuzz:
 
 # The JSON type of every body key of each kind, as paths into the body.
 WIRE_TYPES = {
-    "join_ack": {("accepted",): "boolean", ("current_round",): "integer", ("reason",): "string"},
-    "task_assignment": {
-        ("params",): "array",
-        ("params", 0): "number",
+    "join_ack": {
+        ("accepted",): "boolean",
+        ("current_round",): "integer",
         ("algorithm",): "object",
         ("algorithm", "kind"): "string",
         ("algorithm", "prox_mu"): "number",
         ("algorithm", "ditto_lambda"): "number",
         ("algorithm", "weighting"): "string",
+        ("reason",): "string",
     },
+    "task_assignment": {("params",): "array", ("params", 0): "number"},
     "update_submission": {
         ("params",): "array",
         ("params", 0): "number",
@@ -346,7 +349,7 @@ WIRE_TYPES = {
     "abort": {("reason",): "string"},
 }
 BODY_PATHS = [(kind, path) for kind, paths in WIRE_TYPES.items() for path in paths]
-OBJECT_PATHS = [(m.kind, ()) for m in GOLDEN] + [("task_assignment", ("algorithm",))]
+OBJECT_PATHS = [(m.kind, ()) for m in GOLDEN] + [("join_ack", ("algorithm",))]
 
 
 def case_ids(cases) -> list:
@@ -425,10 +428,10 @@ class TestLargeIntegers:
         document["body"]["train_seconds"] = 2**64
         assert decode(frame_of(document)).body.train_seconds == 2**64
 
-    def test_fedprox_task_with_huge_prox_mu_round_trips(self):
-        task = TaskAssignment(params=ParameterVector([0.5]),
-                              algorithm=AlgorithmConfig(kind="fedprox", prox_mu=2**64))
-        msg = Message("task_assignment", 2, "c", task)
+    def test_fedprox_ack_with_huge_prox_mu_round_trips(self):
+        ack = JoinAck(accepted=True, current_round=2,
+                      algorithm=AlgorithmConfig(kind="fedprox", prox_mu=2**64))
+        msg = Message("join_ack", 2, "c", ack)
         again = decode(encode(msg))
         assert again == msg
         assert again.body.algorithm.prox_mu == 2**64
@@ -437,8 +440,8 @@ class TestLargeIntegers:
                              ids=["2^64", "2^1023", "10^400", "-2^64"])
     @pytest.mark.parametrize("kind, path", [
         ("update_submission", ("train_seconds",)),
-        ("task_assignment", ("algorithm", "prox_mu")),
-        ("task_assignment", ("algorithm", "ditto_lambda")),
+        ("join_ack", ("algorithm", "prox_mu")),
+        ("join_ack", ("algorithm", "ditto_lambda")),
     ])
     def test_errors_never_quote_numpy(self, kind, path, value):
         document = golden_document(kind)

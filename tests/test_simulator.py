@@ -366,6 +366,32 @@ class TestBenchRoutes:
         assert calls == {"encode": 21, "save_checkpoint": 2}
 
 
+class TestWireVolume:
+    def test_bytes_per_kind_are_pinned(self, tmp_path, monkeypatch):
+        # The algorithm travels in the join ack, once per connection, and no
+        # task frame repeats it. A codec or protocol change that alters what
+        # a run sends changes these totals.
+        sent = Counter()
+        tasks = []
+        original = fedkit.simulator.encode
+
+        def encode(msg):
+            frame = original(msg)
+            sent[msg.kind] += len(frame)
+            if msg.kind == "task_assignment":
+                tasks.append(frame[4:])
+            return frame
+
+        monkeypatch.setattr(fedkit.simulator, "encode", encode)
+        crash = FaultEvent(at_round=2, target="b", kind="crash", downtime_seconds=12.0)
+        report = simulate(scenario(tmp_path, {}, faults=(crash,),
+                                   algorithm=AlgorithmConfig(kind="fedprox", prox_mu=0.1)))
+        assert report.status == "completed"
+        assert sent == {"join_request": 252, "join_ack": 780, "task_assignment": 1614,
+                        "update_submission": 2132, "experiment_done": 198}
+        assert not any(b'"algorithm"' in payload for payload in tasks)
+
+
 class TestLocalBaseline:
     def test_cross_table_shape(self, tmp_path):
         s = SimScenario(
