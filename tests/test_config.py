@@ -28,6 +28,11 @@ def parse(doc, source="cfg.json"):
     return parse_config(json.dumps(doc, indent=2), source=source)
 
 
+def schema_key_id(value):
+    """Name a case by the schema key it breaks: its key path without indices."""
+    return re.sub(r"\[\d+\]", "", value) if isinstance(value, str) else None
+
+
 class TestParseConfig:
     def test_minimal_document(self):
         parsed = parse(minimal_config())
@@ -115,6 +120,7 @@ class TestParseConfig:
             (minimal_config(simulator={"faults": [{"at_round": 1}]}), "simulator.faults[0].target"),
             (minimal_config(sites=[{"name": "a"}, {"expected": False}]), "sites[1].name"),
         ],
+        ids=schema_key_id,
     )
     def test_missing_nested_key_anchored_once(self, doc, key):
         with pytest.raises(ConfigError) as info:
@@ -147,6 +153,7 @@ class TestParseConfig:
             ({"sites": [{"name": "a", "expected": "no"}]}, "sites[0].expected", "boolean", "string"),
             ({"sites": [{"name": 7}]}, "sites[0].name", "string", "integer"),
         ],
+        ids=schema_key_id,
     )
     def test_wrong_json_type_names_key_and_types(self, overrides, key, expected, got):
         with pytest.raises(ConfigError) as info:

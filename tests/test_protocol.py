@@ -440,6 +440,8 @@ class TestLargeIntegers:
                              ids=["2^64", "2^1023", "10^400", "-2^64"])
     @pytest.mark.parametrize("kind, path", [
         ("update_submission", ("train_seconds",)),
+        ("task_assignment", ("params", 0)),
+        ("task_assignment", ("params", 1)),
         ("join_ack", ("algorithm", "prox_mu")),
         ("join_ack", ("algorithm", "ditto_lambda")),
     ])
@@ -449,7 +451,8 @@ class TestLargeIntegers:
         if path[-1] == "ditto_lambda":
             document["body"]["algorithm"]["kind"] = "ditto"
             document["body"]["algorithm"]["prox_mu"] = 0.0
-        if 0 < value < 2**1024:  # a finite float: accepted
+        lowest = -(2**1024) if path[0] == "params" else 0  # params may be negative
+        if lowest < value < 2**1024:  # a finite float: accepted
             decode(frame_of(document))
             return
         with pytest.raises(ProtocolError) as info:
