@@ -219,6 +219,26 @@ class ClientSession:
 
 # --- TCP runtime ----------------------------------------------------------------
 
+# TCP keepalive on a connected client socket: after this many idle seconds
+# the kernel probes the server every interval, and after this many
+# unanswered probes it fails the socket. A server host that vanished without
+# closing (power loss, a cut link) then ends a blocked recv in about two
+# minutes, and the client reconnects instead of waiting forever.
+KEEPALIVE_IDLE_SECONDS = 60
+KEEPALIVE_INTERVAL_SECONDS = 10
+KEEPALIVE_PROBES = 6
+
+
+def _enable_keepalive(sock: socket.socket) -> None:
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+    for name, value in (
+        ("TCP_KEEPIDLE", KEEPALIVE_IDLE_SECONDS),
+        ("TCP_KEEPINTVL", KEEPALIVE_INTERVAL_SECONDS),
+        ("TCP_KEEPCNT", KEEPALIVE_PROBES),
+    ):
+        if hasattr(socket, name):  # not every platform tunes these
+            sock.setsockopt(socket.IPPROTO_TCP, getattr(socket, name), value)
+
 
 class ClientRuntime:
     """Blocking TCP loop around a :class:`ClientSession`."""
@@ -253,8 +273,10 @@ class ClientRuntime:
         try:
             with sock:
                 # Only connecting is bounded: a timeout would also cut any
-                # sendall that the server cannot take within it.
+                # sendall that the server cannot take within it. Keepalive
+                # bounds only the wait of an idle connection.
                 sock.settimeout(None)
+                _enable_keepalive(sock)
                 self._execute(self.session.on_connected(), sock)
                 while True:
                     chunk = sock.recv(65536)

@@ -7,6 +7,7 @@ between threads without coordination.
 """
 from __future__ import annotations
 
+import base64
 import collections.abc
 import dataclasses
 import functools
@@ -174,18 +175,26 @@ def field_names(cls):
     return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
 
 
+# The one key of a parameter vector's JSON object; its value is the base64
+# of the vector's little-endian float64 bytes.
+VECTOR_KEY = "f64le"
+_F64LE = np.dtype("<f8")
+
+
 def to_json(value):
     """JSON-ready form of a value built from this package's types.
 
-    A dataclass becomes ``{field: value}``, a parameter vector and a tuple
-    become lists, and mappings keep their keys. Config echoes, reports and
+    A dataclass becomes ``{field: value}``, a parameter vector becomes
+    ``{"f64le": base64 of its little-endian float64 bytes}``, a tuple
+    becomes a list, and mappings keep their keys. Config echoes, reports and
     wire bodies all serialize through here, and :func:`from_json` is the
     inverse, so the dataclasses are the one schema.
     """
     if type(value) in _SCALARS:
         return value
     if isinstance(value, ParameterVector):
-        return value.tolist()
+        raw = value.values.astype(_F64LE, copy=False).tobytes()
+        return {VECTOR_KEY: base64.b64encode(raw).decode("ascii")}
     names = field_names(type(value))
     if names is not None:
         out = {}
@@ -205,14 +214,13 @@ def to_json(value):
 # Names of field annotations and of JSON value types, for messages.
 _TYPE_NAMES = {
     int: "integer", float: "number", str: "string", bool: "boolean",
-    tuple: "array", list: "array", dict: "object", type(None): "null",
+    list: "array", dict: "object", type(None): "null",
 }
 # The JSON value types a field of these annotations takes; any other field
 # takes exactly its annotated type (so a bool is no int).
-_ACCEPTS = {float: (int, float), tuple: (list,)}
-_NUMBERS = frozenset((int, float))
+_ACCEPTS = {float: (int, float)}
 # How a field's JSON value becomes the field: kept after a type check, a
-# nested object, an array of nested objects, a mapping, or a vector.
+# nested object, an array, a mapping, or a vector.
 _VALUE, _OBJECT, _ARRAY, _MAPPING, _VECTOR = range(5)
 
 
@@ -227,8 +235,9 @@ def _value_check(hint) -> tuple:
 @functools.cache
 def _shape(hint) -> tuple:
     """(shape, argument, nullable) of an annotation. The argument is the
-    nested dataclass, the mapping's value annotation, or the value check.
-    ``Optional[X]`` of a shape other than a plain value is X or null."""
+    nested dataclass, the shape of an array's elements or of a mapping's
+    values, or the value check. ``Optional[X]`` of a shape other than a
+    plain value is X or null."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         shape, arg, _ = _shape(args[1] if args[0] is type(None) else args[0])
@@ -238,10 +247,10 @@ def _shape(hint) -> tuple:
         return _VECTOR, None, False
     if dataclasses.is_dataclass(hint):
         return _OBJECT, hint, False
-    if origin is tuple and args and dataclasses.is_dataclass(args[0]):
-        return _ARRAY, args[0], False
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return _ARRAY, _shape(args[0]), False
     if origin is collections.abc.Mapping:
-        return _MAPPING, args[1], False
+        return _MAPPING, _shape(args[1]), False
     return _VALUE, _value_check(hint), False
 
 
@@ -263,6 +272,32 @@ def _path(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
+def _parse_vector(value, fail, path: str) -> ParameterVector:
+    """The vector of JSON ``{"f64le": base64}`` at key ``path``."""
+    if type(value) is not dict:
+        raise fail(path, f"invalid value: expected object, got {_TYPE_NAMES[type(value)]}")
+    key = _path(path, VECTOR_KEY)
+    for name in value:
+        if name != VECTOR_KEY:
+            raise fail(_path(path, name), "unknown key")
+    if not value:
+        raise fail(key, "missing required key")
+    text = value[VECTOR_KEY]
+    if type(text) is not str:
+        raise fail(key, f"invalid value: expected string, got {_TYPE_NAMES[type(text)]}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise fail(key, f"invalid value: not base64: {exc}") from exc
+    if not raw or len(raw) % _F64LE.itemsize:
+        raise fail(key, f"invalid value: {len(raw)} bytes is not a nonzero multiple of 8")
+    try:
+        # Finiteness is the ParameterVector constructor's check.
+        return ParameterVector(np.frombuffer(raw, dtype=_F64LE))
+    except FedkitError as exc:
+        raise fail(key, f"invalid value: {exc}") from exc
+
+
 def _parse(shape, arg, nullable, value, fail, path: str):
     """The field value that JSON ``value`` at key ``path`` stands for."""
     if value is None and nullable:
@@ -273,22 +308,15 @@ def _parse(shape, arg, nullable, value, fail, path: str):
         raise fail(path, f"invalid value: expected {arg[0]}, got {_TYPE_NAMES[type(value)]}")
     if shape is _OBJECT:
         return from_json(arg, value, fail, path)
+    if shape is _VECTOR:
+        return _parse_vector(value, fail, path)
     if shape is _MAPPING:
         if type(value) is not dict:
             raise fail(path, f"must be an object, got {type(value).__name__}")
-        item = _shape(arg)
-        return {key: _parse(*item, v, fail, _path(path, key)) for key, v in value.items()}
-    if shape is _VECTOR:
-        # Finiteness and size are the ParameterVector constructor's checks.
-        if type(value) is not list or not set(map(type, value)) <= _NUMBERS:
-            raise fail(path, "invalid value: expected array of numbers")
-        try:
-            return ParameterVector(value)
-        except (FedkitError, OverflowError) as exc:
-            raise fail(path, f"invalid value: {exc}") from exc
+        return {key: _parse(*arg, v, fail, _path(path, key)) for key, v in value.items()}
     if type(value) is not list:
-        raise fail(path, "must be an array of objects")
-    return tuple(from_json(arg, item, fail, f"{path}[{index}]") for index, item in enumerate(value))
+        raise fail(path, f"must be an array, got {type(value).__name__}")
+    return tuple(_parse(*arg, item, fail, f"{path}[{index}]") for index, item in enumerate(value))
 
 
 def from_json(cls, obj, fail, where: str = "", **given):

@@ -6,10 +6,15 @@ speak:
     [4-byte big-endian unsigned payload length][payload]
 
 where the payload is UTF-8 JSON ``{"kind", "round", "client_id", "body"}``
-with object keys sorted. Parameter values travel as JSON number arrays
-printed with full round-trip precision, so a decoded vector is bit-identical
-to the encoded one. Frames larger than 256 MiB are rejected on both sides,
-which bounds memory against malformed length prefixes.
+with object keys sorted. A parameter vector travels as the object
+``{"f64le": "<base64 of its little-endian float64 bytes>"}``, about 10.7
+bytes per parameter, so a decoded vector is bit-identical to the encoded
+one. A decoder takes exactly that one key, strict base64 (no whitespace or
+other characters), a nonzero multiple of 8 bytes and finite values.
+Frames larger than 256 MiB are rejected on both sides, which bounds memory
+against malformed length prefixes; a server lowers its cap for a joined
+connection to the largest update the model's dimension allows
+(:func:`max_update_payload`).
 
 The experiment's algorithm travels once per connection, in the
 ``join_ack`` body; a ``task_assignment`` body carries only the round's
@@ -26,12 +31,20 @@ shared.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Optional, Union
 
 from .aggregation import AlgorithmConfig
 from .errors import EncodeError, ProtocolError
-from .params import ModelUpdate, ParameterVector, field_names, from_json, to_json
+from .params import (
+    MAX_SAMPLE_COUNT,
+    ModelUpdate,
+    ParameterVector,
+    field_names,
+    from_json,
+    to_json,
+)
 
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 _LENGTH_BYTES = 4
@@ -132,6 +145,23 @@ def encode(msg: Message) -> bytes:
     return len(payload).to_bytes(_LENGTH_BYTES, "big") + payload
 
 
+def _base64_length(dim: int) -> int:
+    return 4 * -(-8 * dim // 3)
+
+
+def max_update_payload(dim: int, client_ids: Iterable[str], rounds: int) -> int:
+    """The largest update payload :func:`encode` writes for a dim-``dim``
+    model in an experiment of ``rounds`` rounds: the longest client id, the
+    last round, a ``sample_count`` of 2^53 and the longest printed
+    ``train_seconds``. Only the vector's base64 grows with ``dim``, so this
+    encodes a dim-1 update and adds the difference."""
+    client_id = max(client_ids, key=lambda name: len(_JSON_ENCODER.encode(name)))
+    update = ModelUpdate(client_id, rounds - 1, ParameterVector([0.0]), MAX_SAMPLE_COUNT,
+                         train_seconds=sys.float_info.max)
+    frame = encode(Message("update_submission", rounds - 1, client_id, update))
+    return len(frame) - _LENGTH_BYTES - _base64_length(1) + _base64_length(dim)
+
+
 def _expect_keys(obj, keys: frozenset, where: str) -> None:
     if not isinstance(obj, dict):
         raise ProtocolError(f"{where} must be a JSON object")
@@ -178,6 +208,11 @@ def _decode_payload(payload: bytes) -> Message:
     return Message(kind=kind, round=round_index, client_id=client_id, body=body)
 
 
+def _check_length(length: int, cap: int) -> None:
+    if length > cap:
+        raise ProtocolError(f"frame of {length} bytes exceeds the {cap}-byte cap")
+
+
 def decode(frame: bytes) -> Message:
     """Decode exactly one complete frame; the inverse of :func:`encode`.
 
@@ -188,8 +223,7 @@ def decode(frame: bytes) -> Message:
     frame = bytes(frame)
     # A prefix shorter than 4 bytes reads as a length, too, and never fits.
     length = int.from_bytes(frame[:_LENGTH_BYTES], "big")
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
+    _check_length(length, MAX_FRAME_BYTES)
     if len(frame) != _LENGTH_BYTES + length:
         raise ProtocolError(f"not one frame: {len(frame)} bytes for a {length}-byte payload")
     return _decode_payload(frame[_LENGTH_BYTES:])
@@ -199,23 +233,25 @@ class FrameDecoder:
     """Incremental decoder for a stream of concatenated frames.
 
     Chunk boundaries are irrelevant: feeding a byte stream one byte at a
-    time yields the same message list as feeding it whole.
+    time yields the same message list as feeding it whole. ``cap``, when
+    set, lowers the payload limit below ``MAX_FRAME_BYTES`` from the next
+    frame on; a larger length prefix is a ProtocolError before any of its
+    payload is buffered.
     """
 
     def __init__(self):
         self._buffer = bytearray()
+        self.cap: Optional[int] = None
 
     def feed(self, chunk: bytes) -> list[Message]:
         self._buffer.extend(chunk)
         messages = []
+        cap = MAX_FRAME_BYTES if self.cap is None else min(self.cap, MAX_FRAME_BYTES)
         while True:
             if len(self._buffer) < _LENGTH_BYTES:
                 return messages
             length = int.from_bytes(self._buffer[:_LENGTH_BYTES], "big")
-            if length > MAX_FRAME_BYTES:
-                raise ProtocolError(
-                    f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-                )
+            _check_length(length, cap)
             if len(self._buffer) < _LENGTH_BYTES + length:
                 return messages
             payload = bytes(self._buffer[_LENGTH_BYTES : _LENGTH_BYTES + length])

@@ -49,6 +49,7 @@ from .protocol import (
     Message,
     TaskAssignment,
     encode,
+    max_update_payload,
 )
 from .training import (
     HeterogeneityConfig,
@@ -709,9 +710,11 @@ class FederationServer:
     The thread that calls :meth:`run` does everything: one selector loop
     accepts connections, reads them, decodes frames into coordinator events
     and executes the returned commands. A connection costs a socket and a
-    frame decoder, no thread. ``stop()`` abandons the run from any thread
-    (for restart tests and operator interrupts) and takes effect within
-    one poll. A later server built with ``resume=True`` reads the checkpoint
+    frame decoder, no thread. Before its join a connection may buffer
+    ``PREJOIN_BUFFER_BYTES``; after it, the largest update frame the
+    config's dimension, site names and round count allow. ``stop()``
+    abandons the run from any thread (for restart tests and operator
+    interrupts) and takes effect within one poll. A later server built with ``resume=True`` reads the checkpoint
     before it binds the port, so a CheckpointError leaves the port free.
     """
 
@@ -724,12 +727,14 @@ class FederationServer:
     ):
         self.cfg = cfg
         self._cfg_hash = config_hash(cfg)
+        dim = param_dim(cfg.trainer, cfg.heterogeneity)
+        # After a join the only frame a peer may send is an update.
+        self._update_cap = max_update_payload(dim, cfg.site_names, cfg.rounds)
         start_round, start_global = 0, None
         if resume:
             start_global, start_round = resume_from_checkpoint(
                 cfg.checkpoint_path, self._cfg_hash
             )
-            dim = param_dim(cfg.trainer, cfg.heterogeneity)
             if start_global.dim != dim:
                 raise CheckpointError(
                     f"checkpoint {cfg.checkpoint_path} holds a dim-{start_global.dim} "
@@ -847,6 +852,7 @@ class FederationServer:
         if conn.site is None and msg.kind == "join_request":
             self._any_join = True
             conn.site = msg.client_id
+            conn.decoder.cap = self._update_cap
             self._connections[conn.site] = conn
             cmds = self._coordinator.on_join(conn.site, now)
         elif msg.kind == "update_submission" and msg.client_id == conn.site:

@@ -28,7 +28,7 @@ import dataclasses
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from .client import ClientConfig, ClientSession, TrainTask
 from .errors import ConfigError, ReportError
@@ -84,7 +84,7 @@ class SimScenario:
     """A federation config plus the timing model and fault schedule."""
 
     federation: FederationConfig
-    site_multipliers: dict = field(default_factory=dict)
+    site_multipliers: Mapping[str, float] = field(default_factory=dict)
     base_round_cost_seconds: float = 1.0
     aggregation_cost_seconds: float = 0.0
     faults: tuple[FaultEvent, ...] = ()

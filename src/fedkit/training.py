@@ -82,7 +82,7 @@ class HeterogeneityConfig:
     ``samples_per_site``.
     """
 
-    base_optimum: tuple
+    base_optimum: tuple[float, ...]
     shift_scale: float = 0.0
     noise_std: float = 0.0
     samples_per_site: int = 32

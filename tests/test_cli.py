@@ -328,7 +328,7 @@ class TestSimulateCommand:
         }
         rounds_csv = "0d5918412b6f48393f87c55edaeeec9d30d56ebb4145ed70a44e4e691136655b"
         assert digests == {
-            "ditto/report.json": "4eca35569f6c57c01ebfa9464bf004f8dd7c039f3cd696633bb8d2c5c32b6736",
+            "ditto/report.json": "7f3a8bc3ba656dc22466e78b400795b2aabe0ce31ed7f2d497cf4666d081efaf",
             "ditto/rounds.csv": rounds_csv,
             "ditto/summary.txt": "614f14df8979f2c9939a3e42fb20cbc0220a57e0dae451d0f5c07fb9c8d52947",
             "fedavg/rounds.csv": rounds_csv,
@@ -533,6 +533,30 @@ class TestReportCommand:
         assert main(["report", "--in", directory]) == 2
         captured = capsys.readouterr()
         assert f"totals.train: must be finite and >= 0, got {shown}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "final_global, key, why",
+        [
+            ([0.5], "final_global", "expected object, got array"),
+            ({"f64le": "AAAAAAAA8D8=", "dim": 1}, "final_global.dim", "unknown key"),
+            ({"f64le": "AAAAAAAA8D8"}, "final_global.f64le", "not base64"),
+            ({"f64le": "AAAAAA=="}, "final_global.f64le", "4 bytes is not a nonzero multiple"),
+            ({"f64le": "AAAAAAAA8H8="}, "final_global.f64le", "non-finite"),
+        ],
+        ids=["number-array", "extra-key", "padding", "four-bytes", "infinite"],
+    )
+    def test_bad_final_global_exits_2_naming_it(self, tmp_path, capsys, final_global, key, why):
+        directory = self.simulate_fitted(tmp_path, "bad_global", 1.0)
+        report_path = Path(directory, "report.json")
+        doc = json.loads(report_path.read_text())
+        assert set(doc["final_global"]) == {"f64le"}
+        doc["final_global"] = final_global
+        report_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--in", directory]) == 2
+        captured = capsys.readouterr()
+        assert f"report.json: {key}: " in captured.err and why in captured.err
         assert captured.out == ""
 
     def test_corrupting_any_key_exits_2_naming_it(self, tmp_path, capsys):

@@ -129,17 +129,19 @@ class TestParseConfig:
         assert re.fullmatch(r"cfg\.json:\d+: " + re.escape(key) + ": missing required key", message)
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, why",
         [
-            {"round_timeout_seconds": "10"},
-            {"simulator": {"site_multipliers": {"a": "2"}}},
-            {"simulator": {"site_multipliers": [1]}},
-            {"simulator": {"faults": [{"at_round": "1", "target": "a"}]}},
-            {"simulator": {"base_round_cost_seconds": "1"}},
+            ({"round_timeout_seconds": "10"}, "invalid value"),
+            ({"simulator": {"site_multipliers": {"a": "2"}}}, "invalid value"),
+            # A mapping's values are typed; the mapping itself is a container.
+            ({"simulator": {"site_multipliers": [1]}}, "must be an object, got list"),
+            ({"simulator": {"faults": [{"at_round": "1", "target": "a"}]}}, "invalid value"),
+            ({"simulator": {"base_round_cost_seconds": "1"}}, "invalid value"),
         ],
+        ids=[f"overrides{index}" for index in range(5)],
     )
-    def test_wrong_json_type_is_config_error(self, overrides):
-        with pytest.raises(ConfigError, match="invalid value"):
+    def test_wrong_json_type_is_config_error(self, overrides, why):
+        with pytest.raises(ConfigError, match=why):
             parse(minimal_config(**overrides))
 
     @pytest.mark.parametrize(
@@ -268,6 +270,30 @@ class TestValueChecks:
             parse_config(text, source="cfg.json")
         anchor = int(re.match(r"cfg\.json:(\d+): ", str(info.value)).group(1))
         assert needle in text.splitlines()[anchor - 1]
+
+    @pytest.mark.parametrize(
+        "overrides, key, needle, why",
+        [
+            ({"heterogeneity": {"base_optimum": [True, False]}}, "heterogeneity.base_optimum[0]",
+             "true,", "expected number, got boolean"),
+            ({"heterogeneity": {"base_optimum": [1, "x"]}}, "heterogeneity.base_optimum[1]",
+             '"x"', "expected number, got string"),
+            ({"simulator": {"site_multipliers": {"a": True}}}, "simulator.site_multipliers.a",
+             '"a": true', "expected number, got boolean"),
+            ({"simulator": {"site_multipliers": {"a": "2"}}}, "simulator.site_multipliers.a",
+             '"a": "2"', "expected number, got string"),
+        ],
+        ids=["base_optimum_boolean", "base_optimum_string", "multiplier_boolean",
+             "multiplier_string"],
+    )
+    def test_typed_element_is_named_on_its_own_line(self, overrides, key, needle, why):
+        text = json.dumps(minimal_config(**overrides), indent=2)
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg.json")
+        anchor, path, rest = re.match(r"cfg\.json:(\d+): ([\w.\[\]]+): (.*)",
+                                      str(info.value)).groups()
+        assert (path, rest) == (key, f"invalid value: {why}")
+        assert text.splitlines()[int(anchor) - 1].strip() == needle
 
     def test_anchor_is_the_elements_own_key_line(self):
         sites = [{"name": "a", "fraction": 0.5}, {"name": "b", "fraction": 0}]

@@ -224,6 +224,9 @@ def simulation_digest(scenario):
                       if key not in ("diagnosis", "reconnects", "virtual_seconds",
                                      "local_cross", "personal_models")}
         experiment["config"].pop("checkpoint_path")
+        # The model's values as numbers, the form these digests were pinned
+        # on; the report's own vector form is the wire codec's business.
+        experiment["final_global"] = report.final_global.tolist()
     digest = hashlib.sha256(json.dumps(
         [report.status, report.diagnosis, repr(report.virtual_seconds), report.reconnects,
          experiment], sort_keys=True).encode())

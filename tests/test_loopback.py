@@ -6,6 +6,7 @@ Servers and clients run in daemon threads; every experiment here is tiny
 import json
 import select
 import socket
+import sys
 import threading
 import time
 from collections import Counter
@@ -33,7 +34,7 @@ from fedkit import (
     resume_from_checkpoint,
     run_client,
 )
-from fedkit.protocol import FrameDecoder, JoinAck, TaskAssignment
+from fedkit.protocol import FrameDecoder, JoinAck, TaskAssignment, max_update_payload
 from fedkit.server import config_hash, save_checkpoint
 from fedkit.training import initial_global
 
@@ -299,7 +300,7 @@ class TestPeerInput:
     coordinator cannot average drops that peer's connection, and the loss
     policy decides the round; the other sites complete the experiment."""
 
-    def run_with_raw_strasbourg(self, tmp_path, update_frame):
+    def run_with_raw_strasbourg(self, tmp_path, update_frame, accepted=False):
         cfg = make_cfg(tmp_path, rounds=1, on_client_loss="continue_without",
                        min_clients_per_round=2)
         server = FederationServer(cfg, ("127.0.0.1", 0))
@@ -310,16 +311,20 @@ class TestPeerInput:
             raw.settimeout(10.0)
             raw.sendall(encode(Message("join_request", 0, "strasbourg")))
             threads = start_clients(cfg, server.address, SITES[:2])
-            ack, task = receive(raw, FrameDecoder(), 2)
+            decoder = FrameDecoder()
+            ack, task = receive(raw, decoder, 2)
             assert (ack.kind, task.kind) == ("join_ack", "task_assignment")
             raw.sendall(update_frame)
-            assert_closed_by_server(raw)
+            if accepted:
+                assert [m.kind for m in receive(raw, decoder, 1)] == ["experiment_done"]
+            else:
+                assert_closed_by_server(raw)
         assert finish(threads) == [0, 0]
         thread.join(10.0)
         assert not thread.is_alive()
         [record] = holder["report"].rounds
         submitted = {site: stat.submitted for site, stat in record.per_client.items()}
-        assert submitted == {"basel": True, "freiburg": True, "strasbourg": False}
+        assert submitted == {"basel": True, "freiburg": True, "strasbourg": accepted}
         params, _ = resume_from_checkpoint(cfg.checkpoint_path)
         assert params.dim == 3
 
@@ -330,10 +335,26 @@ class TestPeerInput:
         )
 
     def test_sample_count_past_2_53_drops_its_site(self, tmp_path):
-        body = {"params": [0.0, 0.0, 0.0], "sample_count": 10**400, "train_seconds": 0.0}
+        body = {"params": {"f64le": "A" * 32}, "sample_count": 10**400, "train_seconds": 0.0}
         frame = frame_of({"kind": "update_submission", "round": 0, "client_id": "strasbourg",
                           "body": body})
         self.run_with_raw_strasbourg(tmp_path, frame)
+
+
+    # A joined connection may buffer one update of the model's dimension. Its
+    # largest frame has the longest site name (strasbourg), the last round, a
+    # sample count of 2^53 and the longest printed train time.
+    LARGEST_UPDATE = encode(Message("update_submission", 0, "strasbourg", ModelUpdate(
+        "strasbourg", 0, ParameterVector([-0.0, 5e-324, 1.5]), 2**53,
+        train_seconds=sys.float_info.max)))
+
+    def test_announced_frame_past_the_update_cap_drops_its_site(self, tmp_path):
+        payload = len(self.LARGEST_UPDATE) - 4
+        assert payload == max_update_payload(3, SITES, 1)
+        self.run_with_raw_strasbourg(tmp_path, (payload + 1).to_bytes(4, "big"))
+
+    def test_largest_legal_update_is_accepted(self, tmp_path):
+        self.run_with_raw_strasbourg(tmp_path, self.LARGEST_UPDATE, accepted=True)
 
 
 def receive(sock, decoder, count):
@@ -407,6 +428,42 @@ class TestTaskBeforeAck:
                 conn.sendall(encode(Message("join_ack", 0, "basel", ack)))
                 conn.sendall(task)
                 assert [m.kind for m in receive(conn, decoder, 1)] == ["update_submission"]
+                conn.sendall(encode(Message("experiment_done", 0, "basel")))
+                assert finish([client]) == [0]
+
+
+class TestClientKeepalive:
+    def test_connected_socket_probes_an_idle_server(self, tmp_path, monkeypatch):
+        connected = []
+        connect = fedkit.client.ClientRuntime._connect_forever
+
+        def recording(self):
+            sock = connect(self)
+            connected.append(sock)
+            return sock
+
+        monkeypatch.setattr(fedkit.client.ClientRuntime, "_connect_forever", recording)
+        cfg = make_cfg(tmp_path, rounds=1)
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            listener.settimeout(10.0)
+            client = ClientThread(cfg, "basel", listener.getsockname())
+            client.start()
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                # The join request is sent after the options are set.
+                assert [m.kind for m in receive(conn, FrameDecoder(), 1)] == ["join_request"]
+                [sock] = connected
+                assert sock.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE) != 0
+                for name, value in (
+                    ("TCP_KEEPIDLE", fedkit.client.KEEPALIVE_IDLE_SECONDS),
+                    ("TCP_KEEPINTVL", fedkit.client.KEEPALIVE_INTERVAL_SECONDS),
+                    ("TCP_KEEPCNT", fedkit.client.KEEPALIVE_PROBES),
+                ):
+                    if hasattr(socket, name):
+                        assert sock.getsockopt(socket.IPPROTO_TCP, getattr(socket, name)) == value
                 conn.sendall(encode(Message("experiment_done", 0, "basel")))
                 assert finish([client]) == [0]
 

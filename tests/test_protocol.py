@@ -1,5 +1,7 @@
+import base64
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +19,14 @@ from fedkit import (
     decode,
     encode,
 )
+from fedkit.params import VECTOR_KEY
 from fedkit.protocol import MAX_FRAME_BYTES, Abort, JoinAck, TaskAssignment
+
+
+def f64le(*values) -> dict:
+    """The JSON form of a vector of ``values``, which may be non-finite."""
+    raw = np.array(values, dtype="<f8").tobytes()
+    return {VECTOR_KEY: base64.b64encode(raw).decode("ascii")}
 
 
 def random_message(rng) -> Message:
@@ -164,16 +173,18 @@ class TestKindPairing:
             decode(len(payload).to_bytes(4, "big") + payload)
 
     def test_infinity_literal_rejected(self):
-        payload = json.dumps(
-            {
-                "kind": "update_submission",
-                "round": 0,
-                "client_id": "c",
-                "body": {"params": [1e999], "sample_count": 1, "train_seconds": 0.0},
-            }
-        ).encode()
-        with pytest.raises(ProtocolError):
-            decode(len(payload).to_bytes(4, "big") + payload)
+        # An infinite parameter, as bytes, and an Infinity literal where the
+        # body still carries JSON numbers.
+        for body, key in (
+            ({"params": f64le(math.inf), "sample_count": 1, "train_seconds": 0.0}, "params"),
+            ({"params": f64le(1.0), "sample_count": 1, "train_seconds": math.inf},
+             "train_seconds"),
+        ):
+            payload = json.dumps(
+                {"kind": "update_submission", "round": 0, "client_id": "c", "body": body}
+            ).encode()
+            with pytest.raises(ProtocolError, match=key):
+                decode(len(payload).to_bytes(4, "big") + payload)
 
 
 class TestRoundTripProperty:
@@ -243,8 +254,8 @@ GOLDEN = [
 GOLDEN_SHA256 = {
     "join_request": "adaaad1b2427486174b62762f6a1486d23e5819f53785b4083528b248d4996e2",
     "join_ack": "46cacdacff3daac0e14915c0e8682d0bb1029939002f47f13e5994d558b45e85",
-    "task_assignment": "42454dcb8b3df3ea7cfa07da00a55b68740c9bc57136d0e5b0a7fd4eb659fb3c",
-    "update_submission": "a6a7c2fb647f221ffe506aa4651cd7b3730d4c810e83d6599b116069115d259a",
+    "task_assignment": "aa610a8abb0dc8f1e04fef9668d47d97e525535e7ed5bc96732e3f9090a465be",
+    "update_submission": "92b871362d73e661dad1249c29414449f2d8d38d1f976a9bf177a15c0177139e",
     "experiment_done": "f84ca3940bef7e867cd1fdd1a7befe82209c395ead9301a2eb5858c7f66551d1",
     "abort": "e96b611e6f48afdc8903fe8ca429ed7789d957773ed2b6b511ff8270f727ab3c",
 }
@@ -313,10 +324,11 @@ class TestDecoderFuzz:
     @pytest.mark.parametrize(
         "payload",
         [
-            b'{"body":{"params":[1' + b"0" * 400 + b'],"sample_count":1,"train_seconds":0.0},'
+            b'{"body":{"params":{"f64le":"' + base64.b64encode(bytes(400) + b"\0" * 6 + b"\xf0\x7f")
+            + b'"},"sample_count":1,"train_seconds":0.0},'
             b'"client_id":"c","kind":"update_submission","round":0}',
-            b'{"body":{"params":[1.0],"sample_count":1,"train_seconds":1' + b"0" * 400 + b"},"
-            b'"client_id":"c","kind":"update_submission","round":0}',
+            b'{"body":{"params":{"f64le":"AAAAAAAA8D8="},"sample_count":1,"train_seconds":1'
+            + b"0" * 400 + b'},"client_id":"c","kind":"update_submission","round":0}',
             b'{"body":{},"client_id":"c","kind":"experiment_done","round":' + b"1" * 5000 + b"}",
             b"[" * 100_000,
         ],
@@ -339,21 +351,26 @@ WIRE_TYPES = {
         ("algorithm", "weighting"): "string",
         ("reason",): "string",
     },
-    "task_assignment": {("params",): "array", ("params", 0): "number"},
+    "task_assignment": {("params",): "object", ("params", VECTOR_KEY): "string"},
     "update_submission": {
-        ("params",): "array",
-        ("params", 0): "number",
+        ("params",): "object",
+        ("params", VECTOR_KEY): "string",
         ("sample_count",): "integer",
         ("train_seconds",): "number",
     },
     "abort": {("reason",): "string"},
 }
 BODY_PATHS = [(kind, path) for kind, paths in WIRE_TYPES.items() for path in paths]
-OBJECT_PATHS = [(m.kind, ()) for m in GOLDEN] + [("join_ack", ("algorithm",))]
+OBJECT_PATHS = [(m.kind, ()) for m in GOLDEN] + [("join_ack", ("algorithm",)),
+                                                 ("task_assignment", ("params",))]
+# The vector's base64 key replaced the number array's elements, and its
+# cases keep their name.
+VECTOR_PATH = ("params", VECTOR_KEY)
 
 
 def case_ids(cases) -> list:
-    return [f"{kind}:{'.'.join(map(str, path)) or 'body'}" for kind, path in cases]
+    return [f"{kind}:{'params.0' if path == VECTOR_PATH else '.'.join(map(str, path)) or 'body'}"
+            for kind, path in cases]
 JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
               list: "array", dict: "object", type(None): "null"}
 json_values = st.recursive(
@@ -379,7 +396,7 @@ class TestBodyMutations:
     """Every body key is required, no other key is allowed, and each key
     takes one JSON type; anything else is a ProtocolError naming the key."""
 
-    KEY_PATHS = [c for c in BODY_PATHS if c[1][-1] != 0]
+    KEY_PATHS = [c for c in BODY_PATHS if c[1] != VECTOR_PATH]  # see TestVectorForm
 
     @pytest.mark.parametrize("kind, path", KEY_PATHS, ids=case_ids(KEY_PATHS))
     def test_dropped_key(self, kind, path):
@@ -447,7 +464,18 @@ class TestLargeIntegers:
     ])
     def test_errors_never_quote_numpy(self, kind, path, value):
         document = golden_document(kind)
-        body_at(document, path[:-1])[path[-1]] = value
+        if path[0] == "params":
+            # The vector's bytes take the float the integer reads as, and a
+            # JSON parser reads one beyond float range as infinite.
+            raw = base64.b64decode(document["body"]["params"][VECTOR_KEY])
+            values = np.frombuffer(raw, "<f8").copy()
+            try:
+                values[path[1]] = float(value)
+            except OverflowError:
+                values[path[1]] = math.inf if value > 0 else -math.inf
+            document["body"]["params"] = f64le(*values)
+        else:
+            body_at(document, path[:-1])[path[-1]] = value
         if path[-1] == "ditto_lambda":
             document["body"]["algorithm"]["kind"] = "ditto"
             document["body"]["algorithm"]["prox_mu"] = 0.0
@@ -458,3 +486,69 @@ class TestLargeIntegers:
         with pytest.raises(ProtocolError) as info:
             decode(frame_of(document))
         assert "ufunc" not in str(info.value)
+
+
+# Finite float64 values at the edges of the format: both zeros, the
+# smallest subnormals and the largest magnitudes.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+class TestVectorForm:
+    """A vector travels as base64 of its little-endian float64 bytes: every
+    finite bit pattern round-trips exactly, and anything else is a
+    ProtocolError naming ``params``."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 49, 10**4])
+    @given(seed=st.integers(0, 2**32 - 1),
+           edges=st.lists(st.sampled_from(EDGE_VALUES), min_size=1, max_size=6),
+           floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
+    @settings(max_examples=20, deadline=None)
+    def test_finite_bit_patterns_round_trip(self, dim, seed, edges, floats):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 2**64, size=dim, dtype=np.uint64).view(np.float64)
+        values[~np.isfinite(values)] = -0.0
+        specials = edges + floats
+        positions = rng.permutation(dim)[: len(specials)]
+        values[positions] = specials[: len(positions)]
+        params = ParameterVector(values)
+        for msg in (
+            Message("task_assignment", 7, "basel", TaskAssignment(params)),
+            Message("update_submission", 7, "basel", ModelUpdate("basel", 7, params, 3)),
+        ):
+            again = decode(encode(msg)).body.params
+            assert again.values.tobytes() == values.tobytes()
+
+    def test_form_is_base64_of_little_endian_bytes(self):
+        document = golden_document("task_assignment")
+        raw = np.array([0.1, -2.5, 1e-17], dtype="<f8").tobytes()
+        assert document["body"]["params"] == {"f64le": base64.b64encode(raw).decode()}
+
+    @pytest.mark.parametrize("kind", ["task_assignment", "update_submission"])
+    @pytest.mark.parametrize(
+        "params, key, why",
+        [
+            ([0.1, -2.5], "params", "expected object, got array"),
+            ({}, "params.f64le", "missing required key"),
+            ({**f64le(1.0), "shape": [1]}, "params.shape", "unknown key"),
+            ({"f64le": 5}, "params.f64le", "expected string, got integer"),
+            ({"f64le": "AAAA AAAAAAA="}, "params.f64le", "not base64"),
+            ({"f64le": "AAAAAAAAAAA"}, "params.f64le", "not base64"),
+            ({"f64le": "AAAAAAAAAA\u00e9="}, "params.f64le", "not base64"),
+            ({"f64le": "AAAAAAAA8D8=AAAA"}, "params.f64le", "not base64"),
+            ({"f64le": ""}, "params.f64le", "0 bytes is not a nonzero multiple of 8"),
+            ({"f64le": "AAAAAA=="}, "params.f64le", "4 bytes is not a nonzero multiple of 8"),
+            ({"f64le": "AAAAAAAA8D8A"}, "params.f64le", "9 bytes is not a nonzero multiple of 8"),
+            (f64le(1.0, math.inf), "params.f64le", "non-finite"),
+            (f64le(-math.inf), "params.f64le", "non-finite"),
+            (f64le(math.nan, 1.0), "params.f64le", "non-finite"),
+        ],
+        ids=["array", "missing", "extra", "not-a-string", "space", "padding", "non-ascii",
+             "past-padding", "empty", "four-bytes", "nine-bytes", "inf", "minus-inf", "nan"],
+    )
+    def test_rejection_names_params(self, kind, params, key, why):
+        document = golden_document(kind)
+        document["body"]["params"] = params
+        with pytest.raises(ProtocolError) as info:
+            decode(frame_of(document))
+        assert f"{kind} body: {key}: " in str(info.value)
+        assert why in str(info.value)

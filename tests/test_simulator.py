@@ -387,8 +387,8 @@ class TestWireVolume:
         report = simulate(scenario(tmp_path, {}, faults=(crash,),
                                    algorithm=AlgorithmConfig(kind="fedprox", prox_mu=0.1)))
         assert report.status == "completed"
-        assert sent == {"join_request": 252, "join_ack": 780, "task_assignment": 1614,
-                        "update_submission": 2132, "experiment_done": 198}
+        assert sent == {"join_request": 252, "join_ack": 780, "task_assignment": 1547,
+                        "update_submission": 1920, "experiment_done": 198}
         assert not any(b'"algorithm"' in payload for payload in tasks)
 
 
