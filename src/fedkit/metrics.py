@@ -23,11 +23,7 @@ def _check_times(record, *names) -> None:
     """Each named time must be finite and >= 0; a failure leads with its field."""
     for name in names:
         seconds = getattr(record, name)
-        try:
-            valid = math.isfinite(seconds) and seconds >= 0
-        except OverflowError:  # an integer beyond float range
-            valid = False
-        if not valid:
+        if not (math.isfinite(seconds) and seconds >= 0):
             raise ReportError(f"{name} must be finite and >= 0, got {seconds}")
 
 

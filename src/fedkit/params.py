@@ -99,8 +99,8 @@ class ModelUpdate:
     train_seconds: float = 0.0
 
     def __post_init__(self):
-        if self.round < 0:
-            raise DomainError(f"round must be non-negative, got {self.round}")
+        if type(self.round) is not int or self.round < 0:
+            raise DomainError(f"round must be a non-negative integer, got {self.round!r}")
         if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
             raise DomainError(f"sample_count must lie in [1, 2^53], got {self.sample_count}")
         if not math.isfinite(self.train_seconds) or self.train_seconds < 0:
@@ -216,20 +216,18 @@ _TYPE_NAMES = {
     int: "integer", float: "number", str: "string", bool: "boolean",
     list: "array", dict: "object", type(None): "null",
 }
-# The JSON value types a field of these annotations takes; any other field
-# takes exactly its annotated type (so a bool is no int).
-_ACCEPTS = {float: (int, float)}
 # How a field's JSON value becomes the field: kept after a type check, a
 # nested object, an array, a mapping, or a vector.
 _VALUE, _OBJECT, _ARRAY, _MAPPING, _VECTOR = range(5)
 
 
 def _value_check(hint) -> tuple:
-    """(expected-type phrase, accepted JSON value types) of a plain field."""
+    """(expected-type phrase, annotated types) of a plain field. A field
+    takes exactly its annotated types (so a bool is no int), and a number
+    field also takes an integer that converts to a float."""
     union = typing.get_origin(hint) in (typing.Union, types.UnionType)
     kinds = typing.get_args(hint) if union else (hint,)
-    accepts = tuple(t for k in kinds for t in _ACCEPTS.get(k, (k,)))
-    return " or ".join(_TYPE_NAMES[k] for k in kinds), accepts
+    return " or ".join(_TYPE_NAMES[k] for k in kinds), kinds
 
 
 @functools.cache
@@ -298,41 +296,50 @@ def _parse_vector(value, fail, path: str) -> ParameterVector:
         raise fail(key, f"invalid value: {exc}") from exc
 
 
-def _parse(shape, arg, nullable, value, fail, path: str):
+def _parse(shape, arg, nullable, value, fail, path: str, wire: bool):
     """The field value that JSON ``value`` at key ``path`` stands for."""
     if value is None and nullable:
         return None
     if shape is _VALUE:
         if type(value) in arg[1]:
             return value
+        if type(value) is int and float in arg[1]:
+            try:
+                float(value)  # the field keeps the integer
+            except OverflowError as exc:
+                raise fail(path, f"invalid value: {exc}") from exc
+            return value
         raise fail(path, f"invalid value: expected {arg[0]}, got {_TYPE_NAMES[type(value)]}")
     if shape is _OBJECT:
-        return from_json(arg, value, fail, path)
+        return from_json(arg, value, fail, path, wire=wire)
     if shape is _VECTOR:
         return _parse_vector(value, fail, path)
     if shape is _MAPPING:
         if type(value) is not dict:
-            raise fail(path, f"must be an object, got {type(value).__name__}")
-        return {key: _parse(*arg, v, fail, _path(path, key)) for key, v in value.items()}
+            raise fail(path, f"must be an object, got {_TYPE_NAMES[type(value)]}")
+        return {key: _parse(*arg, v, fail, _path(path, key), wire) for key, v in value.items()}
     if type(value) is not list:
-        raise fail(path, f"must be an array, got {type(value).__name__}")
-    return tuple(_parse(*arg, item, fail, f"{path}[{index}]") for index, item in enumerate(value))
+        raise fail(path, f"must be an array, got {_TYPE_NAMES[type(value)]}")
+    return tuple(_parse(*arg, item, fail, f"{path}[{index}]", wire)
+                 for index, item in enumerate(value))
 
 
-def from_json(cls, obj, fail, where: str = "", **given):
+def from_json(cls, obj, fail, where: str = "", *, wire: bool = False, **given):
     """Build dataclass ``cls`` from the JSON object ``obj`` at key path
     ``where``; the inverse of :func:`to_json`.
 
     An object takes exactly the field names of ``cls`` as keys. A field
     without a default is required, an omitted key takes its default, and an
-    omitted nested object takes the defaults of all its keys. Each plain
-    value's JSON type is checked against the field's annotation, an
-    ``Optional`` field also takes null, and the dataclass's own checks run
-    last. ``given`` fields come from the caller, not the document. Every
-    failure raises ``fail(key path, why)``, the caller's error type.
+    omitted nested object takes the defaults of all its keys. In ``wire``
+    mode, the wire protocol's rule, every key at every depth is required,
+    defaults or not. Each plain value's JSON type is checked against the
+    field's annotation, an ``Optional`` field also takes null, and the
+    dataclass's own checks run last. ``given`` fields come from the caller,
+    not the document. Every failure raises ``fail(key path, why)``, the
+    caller's error type.
     """
     if type(obj) is not dict:
-        raise fail(where, f"must be an object, got {type(obj).__name__}")
+        raise fail(where, f"must be an object, got {_TYPE_NAMES[type(obj)]}")
     schema = _schema(cls)
     if not schema.keys() >= obj.keys() or (given and not given.keys().isdisjoint(obj)):
         key = next(key for key in obj if key not in schema or key in given)
@@ -342,16 +349,16 @@ def from_json(cls, obj, fail, where: str = "", **given):
         if name in kwargs:
             continue
         if name not in obj:
-            if shape is _OBJECT and not nullable:
+            if shape is _OBJECT and not nullable and not wire:
                 kwargs[name] = from_json(arg, {}, fail, _path(where, name))
-            elif required:
+            elif required or wire:
                 raise fail(_path(where, name), "missing required key")
             continue
         value = obj[name]
         if shape is _VALUE and type(value) in arg[1]:  # the common case formats no key path
             kwargs[name] = value
         else:
-            kwargs[name] = _parse(shape, arg, nullable, value, fail, _path(where, name))
+            kwargs[name] = _parse(shape, arg, nullable, value, fail, _path(where, name), wire)
     try:
         return cls(**kwargs)
     except FedkitError as exc:
@@ -361,7 +368,7 @@ def from_json(cls, obj, fail, where: str = "", **given):
             raise fail(_path(where, name), why) from exc
         raise fail(where, str(exc)) from exc
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        # A value the JSON type check admits can still fail inside the
-        # dataclass's own checks (an integer too large for a float), which
-        # cannot tell which key held it.
+        # A value the JSON type check admits, or a ``given`` one, can still
+        # fail inside the dataclass's own checks, which cannot tell which
+        # key held it.
         raise fail(where, f"invalid value: {exc}") from exc

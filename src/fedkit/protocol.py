@@ -6,7 +6,11 @@ speak:
     [4-byte big-endian unsigned payload length][payload]
 
 where the payload is UTF-8 JSON ``{"kind", "round", "client_id", "body"}``
-with object keys sorted. A parameter vector travels as the object
+with object keys sorted. A body holds the fields of its kind's dataclass,
+less those the envelope carries, and decodes through the schema codec's
+wire mode (:func:`~fedkit.params.from_json` with ``wire=True``): every key
+at every depth is required, defaults or not, and a body error reads
+``<kind> body: <key path>: <why>``. A parameter vector travels as the object
 ``{"f64le": "<base64 of its little-endian float64 bytes>"}``, about 10.7
 bytes per parameter, so a decoded vector is bit-identical to the encoded
 one. A decoder takes exactly that one key, strict base64 (no whitespace or
@@ -41,7 +45,6 @@ from .params import (
     MAX_SAMPLE_COUNT,
     ModelUpdate,
     ParameterVector,
-    field_names,
     from_json,
     to_json,
 )
@@ -84,12 +87,6 @@ _BODY_TYPES = {
     "abort": Abort,
 }
 MESSAGE_KINDS = tuple(_BODY_TYPES)
-# The keys of each kind's body: its fields, less those the envelope carries.
-_BODY_KEYS = {
-    kind: frozenset(field_names(cls) or ()) - {"round", "client_id"}
-    for kind, cls in _BODY_TYPES.items()
-}
-_ALGORITHM_KEYS = frozenset(field_names(AlgorithmConfig))
 _ENVELOPE_KEYS = frozenset(("kind", "round", "client_id", "body"))
 
 
@@ -162,32 +159,6 @@ def max_update_payload(dim: int, client_ids: Iterable[str], rounds: int) -> int:
     return len(frame) - _LENGTH_BYTES - _base64_length(1) + _base64_length(dim)
 
 
-def _expect_keys(obj, keys: frozenset, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ProtocolError(f"{where} must be a JSON object")
-    if obj.keys() != keys:
-        missing, extra = sorted(keys - obj.keys()), sorted(obj.keys() - keys)
-        raise ProtocolError(f"{where}: missing keys {missing}, unexpected keys {extra}")
-
-
-def _body_from_json(kind: str, round_index: int, client_id: str, body) -> Body:
-    # Every body key is required on the wire, though from_json would fill
-    # in defaults for omitted ones.
-    _expect_keys(body, _BODY_KEYS[kind], f"{kind} body")
-    cls = _BODY_TYPES[kind]
-    if cls is type(None):
-        return None
-
-    def fail(key: str, why: str) -> ProtocolError:
-        return ProtocolError(f"{kind} body: {key}: {why}" if key else f"{kind} body: {why}")
-
-    if cls is ModelUpdate:
-        return from_json(cls, body, fail, round=round_index, client_id=client_id)
-    if cls is JoinAck:
-        _expect_keys(body["algorithm"], _ALGORITHM_KEYS, f"{kind} body: algorithm")
-    return from_json(cls, body, fail)
-
-
 def _decode_payload(payload: bytes) -> Message:
     try:
         document = json.loads(payload.decode("utf-8"))
@@ -195,16 +166,26 @@ def _decode_payload(payload: bytes) -> Message:
         # ValueError covers bad UTF-8, bad JSON and integers too long to
         # parse; RecursionError, arrays nested too deep.
         raise ProtocolError(f"malformed payload: {exc}") from exc
-    _expect_keys(document, _ENVELOPE_KEYS, "envelope")
-    kind = document["kind"]
-    if kind not in MESSAGE_KINDS:
+    if type(document) is not dict or document.keys() != _ENVELOPE_KEYS:
+        raise ProtocolError(f"envelope must be an object of the keys {sorted(_ENVELOPE_KEYS)}")
+    kind, round_index, client_id = document["kind"], document["round"], document["client_id"]
+    if kind not in MESSAGE_KINDS:  # a tuple: an unhashable kind is no TypeError
         raise ProtocolError(f"unknown message kind {kind!r}")
-    round_index = document["round"]
-    if type(round_index) is not int or round_index < 0:
-        raise ProtocolError(f"round must be a non-negative integer, got {round_index!r}")
-    client_id = document["client_id"]
-    body = _body_from_json(kind, round_index, client_id, document["body"])
-    # Message checks the client id.
+    cls, body = _BODY_TYPES[kind], document["body"]
+    if cls is type(None):
+        if body != {}:
+            raise ProtocolError(f"{kind} body must be the empty object")
+        body = None
+    else:
+
+        def fail(key: str, why: str) -> ProtocolError:
+            return ProtocolError(f"{kind} body: {key}: {why}" if key else f"{kind} body: {why}")
+
+        if cls is ModelUpdate:  # the envelope carries its round and client id
+            body = from_json(cls, body, fail, wire=True, round=round_index, client_id=client_id)
+        else:
+            body = from_json(cls, body, fail, wire=True)
+    # Message checks the round and the client id.
     return Message(kind=kind, round=round_index, client_id=client_id, body=body)
 
 

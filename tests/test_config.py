@@ -134,7 +134,7 @@ class TestParseConfig:
             ({"round_timeout_seconds": "10"}, "invalid value"),
             ({"simulator": {"site_multipliers": {"a": "2"}}}, "invalid value"),
             # A mapping's values are typed; the mapping itself is a container.
-            ({"simulator": {"site_multipliers": [1]}}, "must be an object, got list"),
+            ({"simulator": {"site_multipliers": [1]}}, "must be an object, got array"),
             ({"simulator": {"faults": [{"at_round": "1", "target": "a"}]}}, "invalid value"),
             ({"simulator": {"base_round_cost_seconds": "1"}}, "invalid value"),
         ],
@@ -196,6 +196,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=key) as info:
             parse(minimal_config(**overrides))
         assert "ufunc" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"trainer": {"lr": 10**400}}, "trainer.lr"),
+            ({"algorithm": {"kind": "fedprox", "prox_mu": 10**400}}, "algorithm.prox_mu"),
+            ({"heterogeneity": {"base_optimum": [10**400, 1.0]}}, "heterogeneity.base_optimum[0]"),
+            ({"simulator": {"site_multipliers": {"a": -(10**400)}}}, "simulator.site_multipliers.a"),
+        ],
+        ids=["lr", "prox_mu", "base_optimum", "site_multiplier"],
+    )
+    def test_integer_beyond_float_range_names_its_key_and_line(self, overrides, key):
+        text = json.dumps(minimal_config(**overrides), indent=2)
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg.json")
+        anchor, path, why = re.match(r"cfg\.json:(\d+): ([\w.\[\]]+): (.*)",
+                                     str(info.value)).groups()
+        assert (path, why) == (key, "invalid value: int too large to convert to float")
+        assert "0" * 400 in text.splitlines()[int(anchor) - 1]
 
     def test_infinite_downtime_still_loads(self):
         fault = {"at_round": 1, "target": "a", "downtime_seconds": math.inf}

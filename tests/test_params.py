@@ -1,9 +1,13 @@
+from dataclasses import dataclass, field
+from typing import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedkit import (
+    AlgorithmConfig,
     DimensionError,
     DomainError,
     EvalScore,
@@ -14,7 +18,8 @@ from fedkit import (
     dice_score,
     l2_distance,
 )
-from fedkit.params import _SMALL, all_finite
+from fedkit.params import _SMALL, all_finite, from_json
+from fedkit.protocol import JoinAck
 
 
 def brute_force_dice(a, b):
@@ -202,3 +207,54 @@ class TestDiceScore:
         m = rng.integers(0, 2, size=16)
         m[rng.integers(0, 16)] = 1
         assert dice_score(m, m) == 1.0
+
+
+class CodecError(Exception):
+    pass
+
+
+def fail(key: str, why: str) -> CodecError:
+    return CodecError(f"{key}: {why}")
+
+
+@dataclass(frozen=True)
+class Inner:
+    a: int
+    b: float = 0.5
+
+
+@dataclass(frozen=True)
+class Outer:
+    items: tuple[Inner, ...] = ()
+    by_name: Mapping[str, Inner] = field(default_factory=dict)
+
+
+class TestWireMode:
+    """A config or report document may omit a key with a default; in wire
+    mode every key at every depth is required."""
+
+    def test_omitted_default_is_filled_in_config_mode_and_missing_in_wire_mode(self):
+        doc = {"kind": "fedprox", "prox_mu": 0.5, "ditto_lambda": 0.0}
+        assert from_json(AlgorithmConfig, doc, fail) == AlgorithmConfig("fedprox", prox_mu=0.5)
+        with pytest.raises(CodecError, match=r"^weighting: missing required key$"):
+            from_json(AlgorithmConfig, doc, fail, wire=True)
+
+    def test_omitted_nested_object_is_defaulted_in_config_mode_and_missing_in_wire_mode(self):
+        doc = {"accepted": True, "current_round": 0, "reason": ""}
+        assert from_json(JoinAck, doc, fail).algorithm == AlgorithmConfig()
+        with pytest.raises(CodecError, match=r"^algorithm: missing required key$"):
+            from_json(JoinAck, doc, fail, wire=True)
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"items": [{"a": 1, "b": 0.25}, {"a": 2}], "by_name": {}}, "items[1].b"),
+            ({"items": [], "by_name": {"x": {"a": 1}}}, "by_name.x.b"),
+        ],
+        ids=["array", "mapping"],
+    )
+    def test_wire_mode_reaches_into_arrays_and_mappings(self, doc, key):
+        assert from_json(Outer, doc, fail) is not None
+        with pytest.raises(CodecError) as info:
+            from_json(Outer, doc, fail, wire=True)
+        assert str(info.value) == f"{key}: missing required key"

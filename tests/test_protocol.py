@@ -18,9 +18,10 @@ from fedkit import (
     ProtocolError,
     decode,
     encode,
+    params,
 )
 from fedkit.params import VECTOR_KEY
-from fedkit.protocol import MAX_FRAME_BYTES, Abort, JoinAck, TaskAssignment
+from fedkit.protocol import _BODY_TYPES, MAX_FRAME_BYTES, Abort, JoinAck, TaskAssignment
 
 
 def f64le(*values) -> dict:
@@ -140,6 +141,15 @@ class TestKindPairing:
         update = ModelUpdate("c", 4, ParameterVector([1.0]), 1)
         with pytest.raises(ProtocolError):
             Message("update_submission", 5, "c", update)
+
+    @pytest.mark.parametrize("round_index", ["1", None, 1.5, True, -1])
+    def test_update_round_must_be_a_non_negative_integer(self, round_index):
+        document = golden_document("update_submission")
+        document["round"] = round_index
+        with pytest.raises(ProtocolError) as info:
+            decode(frame_of(document))
+        assert str(info.value) == ("update_submission body: round: must be a non-negative "
+                                   f"integer, got {round_index!r}")
 
     def test_unknown_kind_rejected(self):
         payload = json.dumps(
@@ -392,6 +402,27 @@ def body_at(document: dict, path: tuple):
     return node
 
 
+def schema_paths(cls, prefix=()):
+    """Every key path of a JSON document of dataclass ``cls``, read from
+    the codec's schema."""
+    for name, (_, shape, arg, _) in params._schema(cls).items():
+        path = prefix + (name,)
+        yield path
+        if shape is params._OBJECT:
+            yield from schema_paths(arg, path)
+        elif shape is params._VECTOR:
+            yield path + (VECTOR_KEY,)
+
+
+def test_wire_types_cover_every_body_key():
+    # A body field added without a WIRE_TYPES entry would escape the
+    # mutation tests below.
+    derived = {kind: set(schema_paths(cls)) for kind, cls in _BODY_TYPES.items()
+               if cls is not type(None)}
+    derived["update_submission"] -= {("round",), ("client_id",)}  # the envelope's
+    assert derived == {kind: set(paths) for kind, paths in WIRE_TYPES.items()}
+
+
 class TestBodyMutations:
     """Every body key is required, no other key is allowed, and each key
     takes one JSON type; anything else is a ProtocolError naming the key."""
@@ -429,6 +460,32 @@ class TestBodyMutations:
         key = [part for part in path if isinstance(part, str)][-1]
         with pytest.raises(ProtocolError, match=key):
             decode(frame_of(document))
+
+
+class TestBodyErrors:
+    """A body error names one key path in the codec's own words."""
+
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("join_ack", lambda body: body.pop("reason"), "body: reason: missing required key"),
+            ("join_ack", lambda body: body["algorithm"].pop("weighting"),
+             "body: algorithm.weighting: missing required key"),
+            ("join_ack", lambda body: body["algorithm"].update(x=1),
+             "body: algorithm.x: unknown key"),
+            ("abort", lambda body: body.pop("reason"), "body: reason: missing required key"),
+            ("update_submission", lambda body: body.update(round=3), "body: round: unknown key"),
+            ("experiment_done", lambda body: body.update(x=1), "body must be the empty object"),
+        ],
+        ids=["ack-reason", "ack-weighting", "ack-extra", "abort-reason", "update-round",
+             "done-extra"],
+    )
+    def test_message(self, kind, edit, message):
+        document = golden_document(kind)
+        edit(document["body"])
+        with pytest.raises(ProtocolError) as info:
+            decode(frame_of(document))
+        assert str(info.value) == f"{kind} {message}"
 
 
 class TestLargeIntegers:
@@ -486,6 +543,18 @@ class TestLargeIntegers:
         with pytest.raises(ProtocolError) as info:
             decode(frame_of(document))
         assert "ufunc" not in str(info.value)
+
+    @pytest.mark.parametrize("kind, path", [
+        ("update_submission", ("train_seconds",)),
+        ("join_ack", ("algorithm", "prox_mu")),
+    ])
+    def test_integer_beyond_float_range_names_its_key(self, kind, path):
+        document = golden_document(kind)
+        body_at(document, path[:-1])[path[-1]] = 10**400
+        with pytest.raises(ProtocolError) as info:
+            decode(frame_of(document))
+        key = ".".join(path)
+        assert str(info.value) == f"{kind} body: {key}: invalid value: int too large to convert to float"
 
 
 # Finite float64 values at the edges of the format: both zeros, the
