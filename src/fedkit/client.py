@@ -25,7 +25,6 @@ from .errors import ConfigError, ProtocolError
 from .params import ModelUpdate, ParameterVector
 from .protocol import FrameDecoder, Message, encode
 from .training import (
-    ClientDataset,
     HeterogeneityConfig,
     TrainerConfig,
     ditto_personal_round,
@@ -121,6 +120,10 @@ class ClientSession:
     experiment config, not training state, so the session keeps it for its
     whole lifetime, crashes included. A task before any accepted ack is a
     ``ProtocolError``.
+
+    The site's data is built with the session, before any connect, and
+    survives ``reset_process_state``: it is a pure function of the seed and
+    the site index, so a restarted process would rebuild the same bytes.
     """
 
     def __init__(self, cfg: ClientConfig, trainer: TrainerConfig, heterogeneity: HeterogeneityConfig):
@@ -132,20 +135,10 @@ class ClientSession:
         # The round whose personal step was last taken, and its start model.
         self._personal_round: Optional[int] = None
         self._personal_start: Optional[ParameterVector] = None
-        self._data: Optional[ClientDataset] = None
         self._held: Optional[ModelUpdate] = None
-
-    @property
-    def data(self) -> ClientDataset:
-        if self._data is None:
-            self._data = generate_site_data(
-                self.heterogeneity,
-                self.cfg.site_index,
-                self.cfg.data_seed,
-                task=self.trainer.trainer,
-                role="train",
-            )
-        return self._data
+        self.data = generate_site_data(
+            heterogeneity, cfg.site_index, cfg.data_seed, task=trainer.trainer, role="train"
+        )
 
     def on_connected(self) -> list:
         return [Message("join_request", 0, self.cfg.site_name)]
@@ -241,7 +234,8 @@ def _enable_keepalive(sock: socket.socket) -> None:
 
 
 class ClientRuntime:
-    """Blocking TCP loop around a :class:`ClientSession`."""
+    """Blocking TCP loop around a :class:`ClientSession`. The session, and
+    with it the site's data, is built here, before the first connect."""
 
     def __init__(self, cfg: ClientConfig, trainer: TrainerConfig, heterogeneity: HeterogeneityConfig):
         self.cfg = cfg

@@ -90,6 +90,13 @@ MESSAGE_KINDS = tuple(_BODY_TYPES)
 _ENVELOPE_KEYS = frozenset(("kind", "round", "client_id", "body"))
 
 
+def _check_envelope(round_index, client_id) -> None:
+    if not isinstance(round_index, int) or isinstance(round_index, bool) or round_index < 0:
+        raise ProtocolError(f"round must be a non-negative integer, got {round_index!r}")
+    if not isinstance(client_id, str):
+        raise ProtocolError("client_id must be a string")
+
+
 @dataclass(frozen=True)
 class Message:
     """Wire envelope; the kind determines the body type exhaustively."""
@@ -102,10 +109,7 @@ class Message:
     def __post_init__(self):
         if self.kind not in MESSAGE_KINDS:
             raise ProtocolError(f"unknown message kind {self.kind!r}")
-        if not isinstance(self.round, int) or isinstance(self.round, bool) or self.round < 0:
-            raise ProtocolError(f"round must be a non-negative integer, got {self.round!r}")
-        if not isinstance(self.client_id, str):
-            raise ProtocolError("client_id must be a string")
+        _check_envelope(self.round, self.client_id)
         want = _BODY_TYPES[self.kind]
         if not isinstance(self.body, want):
             raise ProtocolError(
@@ -171,6 +175,8 @@ def _decode_payload(payload: bytes) -> Message:
     kind, round_index, client_id = document["kind"], document["round"], document["client_id"]
     if kind not in MESSAGE_KINDS:  # a tuple: an unhashable kind is no TypeError
         raise ProtocolError(f"unknown message kind {kind!r}")
+    # Envelope first: an update's body decode takes its round and client id.
+    _check_envelope(round_index, client_id)
     cls, body = _BODY_TYPES[kind], document["body"]
     if cls is type(None):
         if body != {}:
@@ -185,7 +191,6 @@ def _decode_payload(payload: bytes) -> Message:
             body = from_json(cls, body, fail, wire=True, round=round_index, client_id=client_id)
         else:
             body = from_json(cls, body, fail, wire=True)
-    # Message checks the round and the client id.
     return Message(kind=kind, round=round_index, client_id=client_id, body=body)
 
 

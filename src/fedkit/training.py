@@ -17,7 +17,12 @@ A segmentation draw takes, per image and in image order, the blob center
 (row, then column), then the 64 intensity-noise normals, then the 64
 label-noise normals (only when ``noise_std > 0``); a least-squares draw
 takes the feature matrix, then the target noise. The per-site shift comes
-from a separate stream.
+from a separate stream. An image's center comes from one raw PCG64 word
+and its normals from one draw, with the same result: ``integers(0, 8)``
+keeps the top 3 bits of a 32-bit draw (Lemire's method never rejects for
+a power of two), PCG64 serves that draw from the low half of a fresh word
+and buffers the high half, and normals skip the buffer. So the row is
+bits 29-31 of the word and the column bits 61-63.
 
 Training is full-batch, deterministic gradient descent only; every
 equivalence property in the test suite relies on exact oracle comparison,
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.random import default_rng
 
 from .aggregation import AlgorithmConfig, _ditto_step_values, _prox_grad_values
 from .errors import ConfigError, DimensionError, DomainError, NumericError
@@ -165,7 +171,7 @@ def site_shift(hcfg: HeterogeneityConfig, site_index: int, seed: int) -> np.ndar
     dim = len(hcfg.base_optimum)
     if hcfg.shift_scale == 0.0:
         return np.zeros(dim)
-    rng = np.random.default_rng([seed, site_index, _STREAM_SHIFT])
+    rng = default_rng([seed, site_index, _STREAM_SHIFT])
     direction = rng.standard_normal(dim)
     norm = np.linalg.norm(direction)
     while norm < 1e-12:  # essentially impossible, but keep the contract total
@@ -199,7 +205,7 @@ def generate_site_data(
     n = _train_rows(hcfg) if role == "train" else hcfg.samples_per_site
     delta = site_shift(hcfg, site_index, seed)
     w_eff = np.asarray(hcfg.base_optimum) + delta
-    rng = np.random.default_rng([seed, site_index, stream])
+    rng = default_rng([seed, site_index, stream])
     if task == "least_squares":
         dim = len(hcfg.base_optimum)
         features = rng.standard_normal((n, dim))
@@ -213,33 +219,26 @@ def generate_site_data(
         )
     # The draws stay per image, in stream order; the pixel math runs on all
     # images at once with the same elementwise operations.
-    centers = np.empty((n, 2), dtype=np.int64)
-    intensity_noise = np.empty((n, PIXELS))
-    label_noise = np.empty((n, PIXELS)) if hcfg.noise_std > 0 else None
+    words = np.empty(n, dtype=np.uint64)
+    normals = np.empty((n, 2 * PIXELS if hcfg.noise_std > 0 else PIXELS))
+    random_raw = rng.bit_generator.random_raw
     for i in range(n):
-        centers[i, 0] = rng.integers(0, IMAGE_SIDE)
-        centers[i, 1] = rng.integers(0, IMAGE_SIDE)
-        rng.standard_normal(out=intensity_noise[i])
-        if label_noise is not None:
-            rng.standard_normal(out=label_noise[i])
+        words[i] = random_raw()
+        rng.standard_normal(out=normals[i])
+    center_rows = ((words & 0xFFFFFFFF) >> 29).astype(np.int64)
+    center_cols = (words >> 61).astype(np.int64)
     rows = np.arange(IMAGE_SIDE)[None, :, None]
     cols = np.arange(IMAGE_SIDE)[None, None, :]
-    dist2 = (rows - centers[:, 0, None, None]) ** 2 + (cols - centers[:, 1, None, None]) ** 2
+    dist2 = (rows - center_rows[:, None, None]) ** 2 + (cols - center_cols[:, None, None]) ** 2
     intensity = np.exp(-dist2 / (2.0 * _BLOB_SIGMA**2)).reshape(n, PIXELS)
-    intensity += _INTENSITY_NOISE * intensity_noise
+    intensity += _INTENSITY_NOISE * normals[:, :PIXELS]
     logits = w_eff[0] * intensity + w_eff[1]
-    if label_noise is not None:
-        logits += hcfg.noise_std * label_noise
+    if hcfg.noise_std > 0:
+        logits += hcfg.noise_std * normals[:, PIXELS:]
     targets = (logits > 0).astype(np.float64)
     features = np.ones((n, PIXELS, PIXEL_FEATURES))
     features[:, :, 0] = intensity
     return ClientDataset(features.reshape(n, PIXELS * PIXEL_FEATURES), targets, delta)
-
-
-def _pixel_matrix(data: ClientDataset) -> tuple[np.ndarray, np.ndarray]:
-    x = data.features.reshape(-1, PIXEL_FEATURES)
-    y = data.targets.reshape(-1)
-    return x, y
 
 
 def _grad_values(w: np.ndarray, data: ClientDataset, tcfg: TrainerConfig) -> np.ndarray:
@@ -249,7 +248,7 @@ def _grad_values(w: np.ndarray, data: ClientDataset, tcfg: TrainerConfig) -> np.
         x, y = data.features, data.targets
         residual = x.dot(w) - y
         return x.T.dot(residual) / y.size
-    x, y = _pixel_matrix(data)
+    x, y = data.features.reshape(-1, PIXEL_FEATURES), data.targets.reshape(-1)
     # sigmoid(x @ w) - y, in place in the product's buffer
     r = x.dot(w)
     np.negative(r, out=r)

@@ -1,4 +1,12 @@
 import itertools
+import json
+import os
+import socket
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +21,13 @@ from fedkit import (
     ParameterVector,
     ProtocolError,
     TrainerConfig,
+    generate_site_data,
+    run_client,
 )
 from fedkit.client import Exit, TrainTask, parse_address
 from fedkit.protocol import Abort, JoinAck, TaskAssignment
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_session(algorithm_kind="fedavg"):
@@ -164,6 +176,70 @@ class TestClientSession:
         session.reset_process_state()
         assert session.personal_params is None
         assert session.on_message(ack(0)) == []  # nothing held anymore
+
+
+class TestSiteDataBeforeJoin:
+    def test_data_is_built_with_the_session_and_survives_a_crash(self):
+        session = make_session()
+        expected = generate_site_data(session.heterogeneity, 0, 3, role="train")
+        data = session.data
+        assert data.features.tobytes() == expected.features.tobytes()
+        assert data.targets.tobytes() == expected.targets.tobytes()
+        session.reset_process_state()
+        assert session.data is data
+
+    def test_mismatched_trainer_fails_before_any_connect(self):
+        # A bound socket that does not listen refuses every connect, so a
+        # client that reached its connect loop would retry until the join
+        # timeout below.
+        with socket.socket() as closed_port:
+            closed_port.bind(("127.0.0.1", 0))
+            cfg = ClientConfig(site_name="basel", server_address=closed_port.getsockname())
+            trainer = TrainerConfig(trainer="synthetic_segmentation")
+            het = HeterogeneityConfig(base_optimum=[1.0, 2.0, 3.0])
+            outcome = {}
+
+            def run():
+                try:
+                    outcome["code"] = run_client(cfg, trainer, het)
+                except Exception as exc:  # inspected by the test thread
+                    outcome["error"] = exc
+
+            thread = threading.Thread(target=run, daemon=True)
+            thread.start()
+            thread.join(2.0)
+            assert not thread.is_alive(), "the client tried to connect"
+        assert isinstance(outcome.get("error"), ConfigError), outcome
+
+    def test_a_round_imports_nothing(self, tmp_path):
+        # Everything a round needs is loaded by `import fedkit`, so no
+        # import runs inside a timed round.
+        script = textwrap.dedent(f"""
+            import json, sys
+            from fedkit import (AlgorithmConfig, ClientConfig, ClientSession, FederationConfig,
+                                HeterogeneityConfig, Message, ParameterVector, SimScenario,
+                                SiteSpec, TrainerConfig, simulate)
+            from fedkit.protocol import JoinAck
+
+            before = set(sys.modules)
+            trainer = TrainerConfig(trainer="synthetic_segmentation", seed=5)
+            het = HeterogeneityConfig(base_optimum=[8.0, -4.0], shift_scale=0.3,
+                                      noise_std=0.2, samples_per_site=6)
+            cfg = FederationConfig(sites=tuple(SiteSpec(s) for s in "abc"), rounds=2,
+                                   algorithm=AlgorithmConfig(), trainer=trainer,
+                                   heterogeneity=het, checkpoint_path={str(tmp_path / "c.json")!r})
+            simulate(SimScenario(federation=cfg))
+            session = ClientSession(ClientConfig("a", ("127.0.0.1", 9)), trainer, het)
+            session.on_message(Message("join_ack", 0, "a", JoinAck(True, 0, AlgorithmConfig())))
+            session.train(0, ParameterVector([0.0, 0.0]), AlgorithmConfig())
+            print(json.dumps(sorted(set(sys.modules) - before)))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 class TestClientConfig:

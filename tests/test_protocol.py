@@ -148,8 +148,7 @@ class TestKindPairing:
         document["round"] = round_index
         with pytest.raises(ProtocolError) as info:
             decode(frame_of(document))
-        assert str(info.value) == ("update_submission body: round: must be a non-negative "
-                                   f"integer, got {round_index!r}")
+        assert str(info.value) == f"round must be a non-negative integer, got {round_index!r}"
 
     def test_unknown_kind_rejected(self):
         payload = json.dumps(

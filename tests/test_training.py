@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedkit import (
     AlgorithmConfig,
@@ -22,7 +24,11 @@ from fedkit import (
     train_local_only,
 )
 from fedkit.training import (
+    IMAGE_SIDE,
+    PIXEL_FEATURES,
     PIXELS,
+    _BLOB_SIGMA,
+    _INTENSITY_NOISE,
     _grad_values,
     ditto_personal_round,
     initial_global,
@@ -67,6 +73,47 @@ GOLDEN_DIGESTS = [
     ("synthetic_segmentation", 1.0, 1, 1.0, "train", "1fb7502654430f632c3a2cd10f8c8fef8d37e4223370ecfde652079f2ebe015b"),
     ("synthetic_segmentation", 1.0, 1, 1.0, "val", "15197850493dafda3fcffe57118bb4a17d9008433c2f79e051878c94f9150226"),
 ]
+
+
+def reference_segmentation_data(hcfg, site_index, seed, role):
+    """The segmentation draw written as four calls per image (two scalar
+    ``integers(0, 8)`` draws for the blob center, then two 64-normal draws),
+    with the per-site shift drawn as in ``site_shift``."""
+    dim = len(hcfg.base_optimum)
+    delta = np.zeros(dim)
+    if hcfg.shift_scale != 0.0:
+        shift_rng = np.random.default_rng([seed, site_index, 0])
+        direction = shift_rng.standard_normal(dim)
+        while np.linalg.norm(direction) < 1e-12:
+            direction = shift_rng.standard_normal(dim)
+        delta = direction / np.linalg.norm(direction) * hcfg.shift_scale
+    w_eff = np.asarray(hcfg.base_optimum) + delta
+    if role == "train":
+        n, stream = max(1, int(hcfg.samples_per_site * hcfg.fraction)), 1
+    else:
+        n, stream = hcfg.samples_per_site, 2
+    rng = np.random.default_rng([seed, site_index, stream])
+    centers = np.empty((n, 2), dtype=np.int64)
+    intensity_noise = np.empty((n, PIXELS))
+    label_noise = np.empty((n, PIXELS)) if hcfg.noise_std > 0 else None
+    for i in range(n):
+        centers[i, 0] = rng.integers(0, IMAGE_SIDE)
+        centers[i, 1] = rng.integers(0, IMAGE_SIDE)
+        rng.standard_normal(out=intensity_noise[i])
+        if label_noise is not None:
+            rng.standard_normal(out=label_noise[i])
+    rows = np.arange(IMAGE_SIDE)[None, :, None]
+    cols = np.arange(IMAGE_SIDE)[None, None, :]
+    dist2 = (rows - centers[:, 0, None, None]) ** 2 + (cols - centers[:, 1, None, None]) ** 2
+    intensity = np.exp(-dist2 / (2.0 * _BLOB_SIGMA**2)).reshape(n, PIXELS)
+    intensity += _INTENSITY_NOISE * intensity_noise
+    logits = w_eff[0] * intensity + w_eff[1]
+    if label_noise is not None:
+        logits += hcfg.noise_std * label_noise
+    targets = (logits > 0).astype(np.float64)
+    features = np.ones((n, PIXELS, PIXEL_FEATURES))
+    features[:, :, 0] = intensity
+    return features.reshape(n, PIXELS * PIXEL_FEATURES), targets, delta
 
 
 class TestConfigs:
@@ -152,6 +199,35 @@ class TestGenerateSiteData:
         data = generate_site_data(h, 3, seed=11, task=task, role=role)
         raw = data.features.tobytes() + data.targets.tobytes() + data.site_shift.tobytes()
         assert hashlib.sha256(raw).hexdigest() == digest
+
+
+class TestSegmentationDrawMatchesFourCallReference:
+    def test_default_generator_is_pcg64(self):
+        # generate_site_data reads the blob center from one raw 64-bit word,
+        # which equals two integers(0, 8) draws only because PCG64 serves a
+        # 32-bit draw as the low half of a fresh word and buffers the high
+        # half. Another bit generator would change the site data.
+        assert type(np.random.default_rng(0).bit_generator) is np.random.PCG64
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        site=st.integers(0, 10_000),
+        samples=st.integers(1, 64),
+        fraction=st.floats(0.01, 1.0),
+        noise=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+        shift=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+        base=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        role=st.sampled_from(["train", "val"]),
+    )
+    def test_byte_equal(self, seed, site, samples, fraction, noise, shift, base, role):
+        h = HeterogeneityConfig(base_optimum=base, shift_scale=shift, noise_std=noise,
+                                samples_per_site=samples, fraction=fraction)
+        data = generate_site_data(h, site, seed, task="synthetic_segmentation", role=role)
+        features, targets, delta = reference_segmentation_data(h, site, seed, role)
+        assert data.features.tobytes() == features.tobytes()
+        assert data.targets.tobytes() == targets.tobytes()
+        assert data.site_shift.tobytes() == delta.tobytes()
 
 
 class TestLocalTrain:
