@@ -6,7 +6,6 @@ broadcast global model) and the personalization step (a per-client model
 regularized toward the global track) live on the client gradient path; the
 server path is identical for all three algorithms.
 """
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass

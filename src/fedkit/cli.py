@@ -10,7 +10,6 @@ Exit codes: 0 on success, 1 on an aborted experiment, 2 on config errors,
 stderr; stdout carries results only. The FEDKIT_LISTEN environment
 variable overrides the server listen address.
 """
-from __future__ import annotations
 
 import argparse
 import dataclasses

@@ -11,7 +11,6 @@ keeps retrying until the connection succeeds, however long the server is
 away. Backoff delays carry no jitter; reconnect schedules must replay
 identically under the simulator's virtual clock.
 """
-from __future__ import annotations
 
 import dataclasses
 import logging
@@ -72,6 +71,14 @@ class ClientConfig:
         host, port = self.server_address
         if not isinstance(host, str) or not 0 <= int(port) <= 65535:
             raise ConfigError(f"invalid server address {self.server_address!r}")
+        # The IDNA codec's rule for a nonempty ASCII host, which the runtime
+        # resolves without the codec: past one trailing dot, every label has
+        # 1-63 characters.
+        labels = host.removesuffix(".").split(".") if host.isascii() and host else []
+        if not all(0 < len(label) < 64 for label in labels):
+            raise ConfigError(
+                f"server_address: host {host!r} has an empty label or one over 63 characters"
+            )
         object.__setattr__(self, "server_address", (host, int(port)))
         if self.site_index < 0:
             raise ConfigError(f"site_index must be >= 0, got {self.site_index}")
@@ -255,10 +262,15 @@ class ClientRuntime:
             logger.info("%s lost the server; reconnecting", self.cfg.site_name)
 
     def _connect_forever(self) -> socket.socket:
+        host, port = self.cfg.server_address
+        # getaddrinfo runs a str host through the IDNA codec, whose first use
+        # imports encodings.idna, stringprep and unicodedata; an ASCII host
+        # needs none of it. ClientConfig has refused what the codec would.
+        address = (host.encode("ascii") if host.isascii() else host, port)
         delays = self.cfg.reconnect_backoff.delays()
         while True:
             try:
-                return socket.create_connection(self.cfg.server_address, timeout=5.0)
+                return socket.create_connection(address, timeout=5.0)
             except OSError:
                 time.sleep(next(delays))
 

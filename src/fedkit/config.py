@@ -13,7 +13,6 @@ its key, with a line anchor into the file wherever one can be found. The
 config echo in a report, :func:`~fedkit.params.to_json` of the config,
 parses back to an equal config with the same config hash.
 """
-from __future__ import annotations
 
 import json
 import re

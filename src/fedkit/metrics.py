@@ -4,7 +4,6 @@ Times are stored in seconds internally; hours appear only in rendered
 output. The global mean of a score table is the unweighted mean of the
 per-site means, with the std taken across sites.
 """
-from __future__ import annotations
 
 import csv
 import io

@@ -5,7 +5,6 @@ trainer's private concern, which keeps aggregation code trainer-independent.
 All types here are immutable values after construction and safe to share
 between threads without coordination.
 """
-from __future__ import annotations
 
 import base64
 import collections.abc
@@ -256,11 +255,10 @@ def _shape(hint) -> tuple:
 def _schema(cls) -> dict:
     """Per field of dataclass ``cls``: (required, shape, argument, nullable).
     Resolved once per class."""
-    hints = typing.get_type_hints(cls)
     return {
         f.name: (
             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
-            *_shape(hints[f.name]),
+            *_shape(f.type),
         )
         for f in dataclasses.fields(cls)
     }

@@ -32,7 +32,6 @@ proof of concept; run it only on trusted networks.
 Decoders are stateful: use one ``FrameDecoder`` per connection, never
 shared.
 """
-from __future__ import annotations
 
 import json
 import sys

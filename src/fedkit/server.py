@@ -14,7 +14,6 @@ Rounds are synchronous: round r+1's task is broadcast only after round r's
 aggregation completes, and a round aggregates only updates whose round index
 matches; stale submissions are discarded, never averaged in.
 """
-from __future__ import annotations
 
 import contextlib
 import hashlib
@@ -28,7 +27,7 @@ import struct
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .aggregation import AlgorithmConfig, federated_average
 from .errors import (
@@ -632,25 +631,33 @@ class FederationCoordinator:
 # --- final evaluation and report assembly -------------------------------------
 
 
-def evaluate_sites(cfg: FederationConfig, params: ParameterVector) -> dict:
-    """Score a model on every site's validation data.
+def validation_data(cfg: FederationConfig) -> Iterator:
+    """Every site's validation draw, in config order, each built as it is
+    taken, so that scoring holds one site's draw at a time.
 
     Site data is synthetic and fully determined by the shared config, so the
     server can regenerate each site's validation draw itself; nothing
     private crosses the wire for evaluation.
     """
-    metric = metric_for(cfg.trainer)
-    scores = {}
-    for index, spec in enumerate(cfg.sites):
-        data = generate_site_data(
+    for index in range(len(cfg.sites)):
+        yield generate_site_data(
             cfg.site_heterogeneity(index),
             index,
             cfg.trainer.seed,
             task=cfg.trainer.trainer,
             role="val",
         )
-        scores[spec.name] = evaluate(params, data, metric)
-    return scores
+
+
+def evaluate_sites(
+    cfg: FederationConfig, params: ParameterVector, val_data: Optional[list] = None
+) -> dict:
+    """Score a model on every site's validation data: ``val_data`` when
+    given, else a fresh :func:`validation_data`."""
+    metric = metric_for(cfg.trainer)
+    if val_data is None:
+        val_data = validation_data(cfg)
+    return {spec.name: evaluate(params, data, metric) for spec, data in zip(cfg.sites, val_data)}
 
 
 def build_experiment_report(
@@ -661,12 +668,14 @@ def build_experiment_report(
     validate_seconds: float = 0.0,
     status: str = "completed",
     final_scores: Optional[dict] = None,
+    val_data: Optional[list] = None,
     **findings,
 ) -> ExperimentReport:
     """The run's report. Without a final model (no round aggregated) no
-    site is scored; ``findings`` set the simulator's fields."""
+    site is scored; ``val_data`` is passed to :func:`evaluate_sites`, and
+    ``findings`` set the simulator's fields."""
     if final_scores is None:
-        final_scores = {} if final_global is None else evaluate_sites(cfg, final_global)
+        final_scores = {} if final_global is None else evaluate_sites(cfg, final_global, val_data)
     return summarize(
         records,
         final_scores,

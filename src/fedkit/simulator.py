@@ -22,7 +22,6 @@ Determinism is a hard contract: the loop is strictly single-threaded,
 ties break by insertion order, and reconnect backoff carries no jitter, so
 a scenario replays bit-identically.
 """
-from __future__ import annotations
 
 import dataclasses
 import heapq
@@ -41,9 +40,9 @@ from .server import (
     StartTimer,
     build_experiment_report,
     config_hash,
-    generate_site_data,
     resume_from_checkpoint,
     save_checkpoint,
+    validation_data,
 )
 from .training import evaluate, initial_global, metric_for, train_local_only
 
@@ -415,42 +414,36 @@ def simulate(scenario: SimScenario) -> SimulationReport:
     personal = None
     if cfg.algorithm.kind == "ditto":
         personal = {c.site: c.session.personal_params for c in sim.clients}
+    # The baseline reuses the sessions' training draws, and it shares one
+    # validation draw per site with the final scores.
+    local_cross, val_data = None, None
+    if scenario.local_baseline:
+        val_data = list(validation_data(cfg))
+        local_cross = _local_baseline(cfg, [c.session.data for c in sim.clients], val_data)
     experiment = build_experiment_report(
         cfg,
         records,
         coord.global_params if records else None,
         status=status,
+        val_data=val_data,
         diagnosis=reason,
         reconnects=max(sim.connect_events - len(sim.clients), 0),
         virtual_seconds=sim.loop.now,
-        local_cross=_local_baseline(cfg) if scenario.local_baseline else None,
+        local_cross=local_cross,
         personal_models=personal,
     )
     return SimulationReport(experiment=experiment, round_globals=sim.round_globals)
 
 
-def _local_baseline(cfg: FederationConfig) -> dict:
-    """Each site trained alone for the same round budget, scored everywhere."""
+def _local_baseline(cfg: FederationConfig, train_data: list, val_data: list) -> dict:
+    """Each site trained alone for the same round budget, scored everywhere.
+    ``train_data`` and ``val_data`` hold the sites' draws in config order."""
     metric = metric_for(cfg.trainer)
     start = initial_global(cfg.trainer, cfg.heterogeneity)
-    val_data = [
-        generate_site_data(
-            cfg.site_heterogeneity(i), i, cfg.trainer.seed, task=cfg.trainer.trainer, role="val"
-        )
-        for i in range(len(cfg.sites))
-    ]
     table: dict = {}
-    for t_index, spec in enumerate(cfg.sites):
-        train_data = generate_site_data(
-            cfg.site_heterogeneity(t_index),
-            t_index,
-            cfg.trainer.seed,
-            task=cfg.trainer.trainer,
-            role="train",
-        )
-        local_model = train_local_only(start, train_data, cfg.trainer, cfg.rounds)
+    for spec, data in zip(cfg.sites, train_data):
+        local_model = train_local_only(start, data, cfg.trainer, cfg.rounds)
         table[spec.name] = {
-            cfg.sites[v_index].name: evaluate(local_model, val_data[v_index], metric)
-            for v_index in range(len(cfg.sites))
+            site.name: evaluate(local_model, val, metric) for site, val in zip(cfg.sites, val_data)
         }
     return table

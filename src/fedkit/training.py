@@ -28,7 +28,6 @@ Training is full-batch, deterministic gradient descent only; every
 equivalence property in the test suite relies on exact oracle comparison,
 which stochastic minibatching would turn into statistical tolerances.
 """
-from __future__ import annotations
 
 import dataclasses
 import math

@@ -125,6 +125,12 @@ class TestClientCommand:
         assert code == 2
         assert "nowhere" in capsys.readouterr().err
 
+    def test_malformed_server_host_exits_2_naming_it(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        code = main(["client", "--config", path, "--site", "basel", "--server", "a..b:7315"])
+        assert code == 2
+        assert "server_address: host 'a..b'" in capsys.readouterr().err
+
 
 class TestAbortedExperiment:
     def test_round_timeout_aborts_server_and_clients_with_exit_1(self, tmp_path, capsys):

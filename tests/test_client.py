@@ -24,10 +24,20 @@ from fedkit import (
     generate_site_data,
     run_client,
 )
-from fedkit.client import Exit, TrainTask, parse_address
+from fedkit.client import ClientRuntime, Exit, TrainTask, parse_address
 from fedkit.protocol import Abort, JoinAck, TaskAssignment
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_fresh(script, cwd):
+    """The last stdout line of ``script`` run in a fresh interpreter, as JSON."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def make_session(algorithm_kind="fedavg"):
@@ -214,7 +224,7 @@ class TestSiteDataBeforeJoin:
     def test_a_round_imports_nothing(self, tmp_path):
         # Everything a round needs is loaded by `import fedkit`, so no
         # import runs inside a timed round.
-        script = textwrap.dedent(f"""
+        script = f"""
             import json, sys
             from fedkit import (AlgorithmConfig, ClientConfig, ClientSession, FederationConfig,
                                 HeterogeneityConfig, Message, ParameterVector, SimScenario,
@@ -233,16 +243,58 @@ class TestSiteDataBeforeJoin:
             session.on_message(Message("join_ack", 0, "a", JoinAck(True, 0, AlgorithmConfig())))
             session.train(0, ParameterVector([0.0, 0.0]), AlgorithmConfig())
             print(json.dumps(sorted(set(sys.modules) - before)))
-        """)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        """
+        assert run_fresh(script, tmp_path) == []
 
 
 class TestClientConfig:
     def test_address_validation(self):
         with pytest.raises(ConfigError):
             ClientConfig(site_name="x", server_address=("h", 99999))
+
+    @pytest.mark.parametrize("host", ["a..b", ".", "x" * 64],
+                             ids=["empty-label", "lone-dot", "64-character-label"])
+    def test_host_the_idna_codec_refuses_is_a_config_error(self, host):
+        # The runtime resolves an ASCII host without the codec, so the
+        # config applies the codec's label rule up front.
+        with pytest.raises(UnicodeError):
+            host.encode("idna")
+        with pytest.raises(ConfigError, match="server_address"):
+            ClientConfig(site_name="x", server_address=(host, 7315))
+
+    @pytest.mark.parametrize("host", ["127.0.0.1", "::1", "localhost", "localhost."])
+    def test_host_the_idna_codec_takes_passes(self, host):
+        host.encode("idna")
+        assert ClientConfig(site_name="x", server_address=(host, 7315)).server_address == (host, 7315)
+
+
+class TestConnect:
+    def test_ascii_hosts_reach_the_resolver_as_bytes(self, monkeypatch):
+        seen = []
+
+        def create_connection(address, *args, **kwargs):
+            seen.append(address)
+            return "socket"
+
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+        het = HeterogeneityConfig(base_optimum=[1.0, -1.0], samples_per_site=2)
+        for host in ("127.0.0.1", "localhost", "bäsel.example"):
+            runtime = ClientRuntime(ClientConfig("basel", (host, 7315)), TrainerConfig(), het)
+            assert runtime._connect_forever() == "socket"
+        assert seen == [(b"127.0.0.1", 7315), (b"localhost", 7315), ("bäsel.example", 7315)]
+
+    def test_connecting_does_not_load_the_idna_codec(self, tmp_path):
+        script = """
+            import json, socket, sys
+            from fedkit import ClientConfig, HeterogeneityConfig, TrainerConfig
+            from fedkit.client import ClientRuntime
+
+            with socket.create_server(("127.0.0.1", 0)) as listener:
+                cfg = ClientConfig("basel", listener.getsockname())
+                het = HeterogeneityConfig(base_optimum=[1.0, -1.0], samples_per_site=2)
+                runtime = ClientRuntime(cfg, TrainerConfig(), het)
+                before = "encodings.idna" in sys.modules
+                runtime._connect_forever().close()
+            print(json.dumps([before, "encodings.idna" in sys.modules]))
+        """
+        assert run_fresh(script, tmp_path) == [False, False]

@@ -119,6 +119,14 @@ class TestLoopbackExperiment:
         assert all(s.train_seconds > 0 for s in record.per_client.values())
         assert set(report.final_scores) == set(SITES)
 
+    def test_clients_reach_the_server_by_host_name(self, tmp_path):
+        cfg = make_cfg(tmp_path, rounds=1)
+        server = FederationServer(cfg, ("127.0.0.1", 0))
+        threads = start_clients(cfg, ("localhost", server.address[1]))
+        report = server.run()
+        assert finish(threads) == [0, 0, 0]
+        assert report.status == "completed" and len(report.rounds) == 1
+
     def test_model_is_deterministic_across_runs(self, tmp_path):
         finals = []
         for attempt in range(2):

@@ -1,4 +1,11 @@
+import json
+import os
+import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -18,8 +25,11 @@ from fedkit import (
     dice_score,
     l2_distance,
 )
+from fedkit.cli import main
 from fedkit.params import _SMALL, all_finite, from_json
 from fedkit.protocol import JoinAck
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def brute_force_dice(a, b):
@@ -258,3 +268,54 @@ class TestWireMode:
         with pytest.raises(CodecError) as info:
             from_json(Outer, doc, fail, wire=True)
         assert str(info.value) == f"{key}: missing required key"
+
+
+class TestColdPath:
+    def test_first_use_of_each_schema_compiles_nothing(self, tmp_path, capsys):
+        # Annotations are objects from class creation on, so the codec's
+        # first use of a class compiles no annotation string. The report
+        # carries every optional section: a ditto run with a local baseline.
+        readme = (ROOT / "README.md").read_text()
+        text = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        doc = json.loads(text)
+        doc["algorithm"] = {"kind": "ditto", "ditto_lambda": 0.5}
+        doc["simulator"]["local_baseline"] = True
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        script = textwrap.dedent("""
+            import json, sys
+            from fedkit import AlgorithmConfig, Message, ModelUpdate, ParameterVector, encode
+            from fedkit.config import parse_config
+            from fedkit.metrics import load_report
+            from fedkit.protocol import MESSAGE_KINDS, Abort, JoinAck, TaskAssignment, decode
+
+            text, report = sys.argv[1:]
+            vector = ParameterVector([0.5, -1.0])
+            messages = [
+                Message("join_request", 0, "basel"),
+                Message("join_ack", 0, "basel", JoinAck(True, 0, AlgorithmConfig())),
+                Message("task_assignment", 1, "basel", TaskAssignment(vector)),
+                Message("update_submission", 1, "basel", ModelUpdate("basel", 1, vector, 8)),
+                Message("experiment_done", 2, "basel"),
+                Message("abort", 2, "basel", Abort("quorum lost")),
+            ]
+            assert [m.kind for m in messages] == list(MESSAGE_KINDS)
+            frames = [encode(m) for m in messages]
+            compiled = []
+            sys.addaudithook(lambda event, args: compiled.append(event) if event == "compile" else None)
+            parse_config(text, "README.md")
+            for frame in frames:
+                decode(frame)
+            load_report(report)
+            print(json.dumps(len(compiled)))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, text, str(tmp_path / "run" / "report.json")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout.splitlines()[-1]) == 0

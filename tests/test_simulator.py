@@ -1,12 +1,14 @@
 import copy
 import dataclasses
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import fedkit.simulator
+import fedkit.training
 from fedkit import (
     AlgorithmConfig,
     CheckpointError,
@@ -403,3 +405,20 @@ class TestLocalBaseline:
         for row in report.local_cross.values():
             assert set(row) == {"a", "b", "c"}
             assert all(score.metric == "mse_loss" for score in row.values())
+
+    def test_each_site_draw_is_generated_once(self, tmp_path, monkeypatch):
+        # The baseline trains on the sessions' own draws and scores on the
+        # validation draws that the final scores use too.
+        calls = Counter()
+        original = fedkit.training.generate_site_data
+
+        def counted(hcfg, site_index, *args, role="train", **kwargs):
+            calls[site_index, role] += 1
+            return original(hcfg, site_index, *args, role=role, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fedkit") and getattr(module, "generate_site_data", None) is original:
+                monkeypatch.setattr(module, "generate_site_data", counted)
+        s = SimScenario(federation=make_cfg(tmp_path, rounds=2, name="lb"), local_baseline=True)
+        assert simulate(s).status == "completed"
+        assert calls == {(site, role): 1 for site in range(3) for role in ("train", "val")}
