@@ -6,10 +6,13 @@ A numpy library plus a small wire runtime. The pieces:
 * :mod:`fedkit.aggregation`: weighted averaging, proximal gradients,
   personalization steps.
 * :mod:`fedkit.training`: desk-scale trainers and non-IID synthetic data.
+* :mod:`fedkit.config`: the config document, its schema and its hash.
 * :mod:`fedkit.protocol`: the length-prefixed JSON wire format.
-* :mod:`fedkit.server` / :mod:`fedkit.client`: the TCP deployment.
-* :mod:`fedkit.simulator`: the same federation under a virtual clock.
+* :mod:`fedkit.checkpoint`: the durable checkpoint file.
 * :mod:`fedkit.metrics`: round records, reports, and tables.
+* :mod:`fedkit.server`: the round coordinator and its TCP runtime;
+  :mod:`fedkit.client`: the client session and its TCP runtime.
+* :mod:`fedkit.simulator`: the same federation under a virtual clock.
 """
 
 from .aggregation import (
@@ -18,6 +21,7 @@ from .aggregation import (
     federated_average,
     proximal_loss_gradient,
 )
+from .checkpoint import resume_from_checkpoint
 from .client import (
     BackoffPolicy,
     ClientConfig,
@@ -25,6 +29,7 @@ from .client import (
     ClientSession,
     run_client,
 )
+from .config import FaultEvent, FederationConfig, SimScenario, SiteSpec
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -58,15 +63,8 @@ from .params import (
     l2_distance,
 )
 from .protocol import FrameDecoder, Message, decode, encode
-from .server import (
-    FederationConfig,
-    FederationCoordinator,
-    FederationServer,
-    RoundState,
-    SiteSpec,
-    resume_from_checkpoint,
-)
-from .simulator import FaultEvent, SimScenario, SimulationReport, simulate, speedup
+from .server import FederationCoordinator, FederationServer, RoundState
+from .simulator import SimulationReport, simulate, speedup
 from .training import (
     ClientDataset,
     HeterogeneityConfig,

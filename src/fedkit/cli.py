@@ -19,7 +19,7 @@ import sys
 
 from . import metrics
 from .client import ClientConfig, parse_address, run_client
-from .config import load_config
+from .config import SimScenario, load_config
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -29,7 +29,7 @@ from .errors import (
     StartupError,
 )
 from .server import FederationServer
-from .simulator import SimScenario, simulate, speedup
+from .simulator import simulate, speedup
 
 EXIT_OK = 0
 EXIT_ABORTED = 1

@@ -14,6 +14,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .config import FederationConfig
 from .errors import IoError, ReportError
 from .params import EvalScore, ParameterVector, from_json, to_json
 
@@ -75,15 +76,16 @@ class Totals:
 class ExperimentReport:
     """Everything one experiment produced; report.json is this, field by field.
 
-    A run that aggregated no round has empty ``rounds`` and ``final_scores``,
-    zero totals, and a null ``global_mean`` and ``final_global``. The fields
-    after ``status`` are the simulator's and stay null on TCP: why the run
-    did not complete (empty when it did), reconnects, virtual seconds, the
-    local baseline's table (``local_cross[trained][validated]``) and the
-    ditto personal models (null for a site whose crash lost its model).
+    ``config`` is the run's federation config. A run that aggregated no
+    round has empty ``rounds`` and ``final_scores``, zero totals, and a
+    null ``global_mean`` and ``final_global``. The fields after ``status``
+    are the simulator's and stay null on TCP: why the run did not complete
+    (empty when it did), reconnects, virtual seconds, the local baseline's
+    table (``local_cross[trained][validated]``) and the ditto personal
+    models (null for a site whose crash lost its model).
     """
 
-    config: dict
+    config: FederationConfig
     rounds: tuple[RoundRecord, ...]
     totals: Totals
     final_scores: Mapping[str, EvalScore]
@@ -116,7 +118,7 @@ def summarize(
     final_scores: Mapping[str, EvalScore],
     *,
     final_global: Optional[ParameterVector],
-    config: Optional[dict] = None,
+    config: FederationConfig,
     validate_seconds: float = 0.0,
     status: str = "completed",
     **findings,
@@ -129,7 +131,7 @@ def summarize(
     ``findings`` set the simulator's fields.
     """
     return ExperimentReport(
-        config=dict(config or {}),
+        config=config,
         rounds=tuple(records),
         totals=Totals(
             train=float(sum(r.train_span_seconds for r in records)),
@@ -218,7 +220,6 @@ def load_report(path: str) -> ExperimentReport:
     """The report a report.json holds, parsed whole: a missing or malformed
     key anywhere, the config echo's included, raises :class:`ReportError`
     naming its key path."""
-    from .server import FederationConfig  # server imports this module
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -228,9 +229,7 @@ def load_report(path: str) -> ExperimentReport:
     def fail(key: str, why: str) -> ReportError:
         return ReportError(f"{path}: {key}: {why}" if key else f"{path}: {why}")
 
-    report = from_json(ExperimentReport, doc, fail)
-    from_json(FederationConfig, report.config, fail, "config")
-    return report
+    return from_json(ExperimentReport, doc, fail)
 
 
 # --- rendering -----------------------------------------------------------------

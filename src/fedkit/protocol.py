@@ -16,9 +16,9 @@ bytes per parameter, so a decoded vector is bit-identical to the encoded
 one. A decoder takes exactly that one key, strict base64 (no whitespace or
 other characters), a nonzero multiple of 8 bytes and finite values.
 Frames larger than 256 MiB are rejected on both sides, which bounds memory
-against malformed length prefixes; a server lowers its cap for a joined
-connection to the largest update the model's dimension allows
-(:func:`max_update_payload`).
+against malformed length prefixes; a server caps a connection at 4 KiB
+until it joins, and then at the largest update the model's dimension
+allows (:func:`max_update_payload`).
 
 The experiment's algorithm travels once per connection, in the
 ``join_ack`` body; a ``task_assignment`` body carries only the round's
@@ -36,7 +36,7 @@ shared.
 import json
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .aggregation import AlgorithmConfig
 from .errors import EncodeError, ProtocolError
@@ -218,25 +218,23 @@ class FrameDecoder:
     """Incremental decoder for a stream of concatenated frames.
 
     Chunk boundaries are irrelevant: feeding a byte stream one byte at a
-    time yields the same message list as feeding it whole. ``cap``, when
-    set, lowers the payload limit below ``MAX_FRAME_BYTES`` from the next
-    frame on; a larger length prefix is a ProtocolError before any of its
-    payload is buffered.
+    time yields the same message list as feeding it whole. ``cap`` is the
+    payload limit, ``MAX_FRAME_BYTES`` unless given; a larger length prefix
+    is a ProtocolError before any of its payload is buffered.
     """
 
-    def __init__(self):
+    def __init__(self, cap: int = MAX_FRAME_BYTES):
         self._buffer = bytearray()
-        self.cap: Optional[int] = None
+        self.cap = cap
 
     def feed(self, chunk: bytes) -> list[Message]:
         self._buffer.extend(chunk)
         messages = []
-        cap = MAX_FRAME_BYTES if self.cap is None else min(self.cap, MAX_FRAME_BYTES)
         while True:
             if len(self._buffer) < _LENGTH_BYTES:
                 return messages
             length = int.from_bytes(self._buffer[:_LENGTH_BYTES], "big")
-            _check_length(length, cap)
+            _check_length(length, self.cap)
             if len(self._buffer) < _LENGTH_BYTES + length:
                 return messages
             payload = bytes(self._buffer[_LENGTH_BYTES : _LENGTH_BYTES + length])

@@ -1,5 +1,5 @@
-"""Federation aggregator: lifecycle state machine, round orchestration,
-fault policy, and checkpointing.
+"""Federation aggregator: the round state machine, report assembly, and
+the TCP runtime.
 
 The :class:`FederationCoordinator` is transport-agnostic. Runtimes feed it
 events (join, update, client loss, timeout) and execute the command list it
@@ -8,40 +8,30 @@ at a time. The TCP runtime here drives it from one selector loop on one
 thread, which accepts, reads and decodes connections itself, so no event
 crosses a thread and the coordinator never waits on a socket read. The
 simulator drives the very same coordinator from a virtual clock, which is
-what keeps simulated and deployed round semantics identical.
+what keeps simulated and deployed round semantics identical. The config
+schema lives in :mod:`fedkit.config`, the checkpoint file in
+:mod:`fedkit.checkpoint`.
 
 Rounds are synchronous: round r+1's task is broadcast only after round r's
 aggregation completes, and a round aggregates only updates whose round index
 matches; stale submissions are discarded, never averaged in.
 """
 
-import contextlib
-import hashlib
-import json
 import logging
-import math
-import os
 import selectors
 import socket
-import struct
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .aggregation import AlgorithmConfig, federated_average
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    ExperimentAborted,
-    FedkitError,
-    IoError,
-    ProtocolError,
-    StartupError,
-)
+from .aggregation import federated_average
+from .checkpoint import resume_from_checkpoint, save_checkpoint
+from .config import FederationConfig, config_hash
+from .errors import CheckpointError, ConfigError, ExperimentAborted, ProtocolError, StartupError
 from .metrics import ClientRoundStat, ExperimentReport, RoundRecord, summarize
-from .params import ModelUpdate, ParameterVector, to_json
+from .params import ModelUpdate, ParameterVector
 from .protocol import (
+    MAX_FRAME_BYTES,
     Abort,
     FrameDecoder,
     JoinAck,
@@ -50,331 +40,9 @@ from .protocol import (
     encode,
     max_update_payload,
 )
-from .training import (
-    HeterogeneityConfig,
-    TrainerConfig,
-    evaluate,
-    generate_site_data,
-    initial_global,
-    metric_for,
-    param_dim,
-    with_fraction,
-)
+from .training import evaluate, generate_site_data, initial_global, metric_for, param_dim
 
 logger = logging.getLogger(__name__)
-
-LOSS_POLICIES = ("wait", "continue_without")
-
-CHECKPOINT_FORMAT = "fedkit-checkpoint-v2"
-
-
-@dataclass(frozen=True)
-class SiteSpec:
-    """One site of the federation. ``fraction`` optionally overrides the
-    heterogeneity config's training-data fraction for this site alone
-    (the client data-quantity experiment)."""
-
-    name: str
-    expected: bool = True
-    fraction: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.name:
-            raise ConfigError("name must be non-empty")
-        if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
-            raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction} for {self.name!r}")
-
-
-@dataclass(frozen=True)
-class FederationConfig:
-    """Full experiment description shared by server, clients, and simulator."""
-
-    sites: tuple[SiteSpec, ...]
-    rounds: int
-    algorithm: AlgorithmConfig
-    trainer: TrainerConfig
-    heterogeneity: HeterogeneityConfig
-    on_client_loss: str = "wait"
-    min_clients_per_round: Optional[int] = None
-    checkpoint_path: str = "checkpoint.json"
-    round_timeout_seconds: Optional[float] = None
-
-    def __post_init__(self):
-        sites = tuple(self.sites)
-        if not sites:
-            raise ConfigError("sites must list at least one site")
-        names = [s.name for s in sites]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"sites must have unique names, got {names}")
-        if not any(s.expected for s in sites):
-            raise ConfigError("sites must include at least one expected site")
-        object.__setattr__(self, "sites", sites)
-        if not isinstance(self.rounds, int) or isinstance(self.rounds, bool) or self.rounds < 1:
-            raise ConfigError(f"rounds must be a positive integer, got {self.rounds!r}")
-        if self.on_client_loss not in LOSS_POLICIES:
-            raise ConfigError(
-                f"on_client_loss must be one of {LOSS_POLICIES}, got {self.on_client_loss!r}"
-            )
-        if self.min_clients_per_round is not None:
-            quorum = self.min_clients_per_round
-            if (
-                not isinstance(quorum, int)
-                or isinstance(quorum, bool)
-                or not 1 <= quorum <= len(sites)
-            ):
-                raise ConfigError(
-                    f"min_clients_per_round must be an integer in [1, {len(sites)}], "
-                    f"got {quorum!r}"
-                )
-        elif self.on_client_loss == "continue_without":
-            raise ConfigError("on_client_loss continue_without requires min_clients_per_round")
-        if not self.checkpoint_path:
-            raise ConfigError("checkpoint_path must be non-empty")
-        if self.round_timeout_seconds is not None and self.round_timeout_seconds <= 0:
-            raise ConfigError(
-                f"round_timeout_seconds must be positive or null, got {self.round_timeout_seconds}"
-            )
-        if self.round_timeout_seconds is not None and not math.isfinite(self.round_timeout_seconds):
-            # A NaN timeout never fires; an infinite one is what null means.
-            raise ConfigError(f"round_timeout_seconds must be finite, got {self.round_timeout_seconds}")
-
-    @property
-    def site_names(self) -> list:
-        return [s.name for s in self.sites]
-
-    @property
-    def expected_sites(self) -> list:
-        return [s.name for s in self.sites if s.expected]
-
-    def site_index(self, name: str) -> int:
-        for i, s in enumerate(self.sites):
-            if s.name == name:
-                return i
-        raise ConfigError(f"unknown site {name!r}")
-
-    def site_heterogeneity(self, index: int) -> HeterogeneityConfig:
-        return with_fraction(self.heterogeneity, self.sites[index].fraction)
-
-
-def config_hash(cfg: FederationConfig) -> str:
-    """Identity of the experiment a checkpoint belongs to.
-
-    Operational knobs (checkpoint path, timeout) are excluded: moving a
-    checkpoint file or adjusting a timeout does not change the experiment,
-    while resuming under a different algorithm or data config must fail.
-    """
-    doc = to_json(cfg)
-    doc.pop("checkpoint_path")
-    doc.pop("round_timeout_seconds")
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-# --- checkpointing ---------------------------------------------------------
-
-
-# A checkpoint file is two slots of S bytes each, S a multiple of _PAGE sized
-# once from the model dimension. Round r is written to slot r % 2 as one
-# record: a fixed header (magic, round, payload length, sha256 of the config
-# hash, then a sha256 over those fields, the payload and the seal), the JSON
-# document, and one seal byte. The rest of the slot is zeros.
-_MAGIC = b"FKC2"
-_FIELDS = struct.Struct("<4sQQ32s")
-_HEADER_SIZE = _FIELDS.size + hashlib.sha256().digest_size
-_PAGE = 4096
-# Per slot beyond the header: room for the document's keys, format, round
-# and config hash, and at most 24 characters plus a comma per float.
-_SLOT_OVERHEAD = 512
-_BYTES_PER_PARAM = 25
-_FILL_CHUNK = 1 << 20
-
-
-def _seal(round_index: int) -> bytes:
-    """The record's last byte: never zero, never ASCII, and different for
-    rounds r and r - 2, which share a slot. Whatever an in-place write lands
-    on (zeros, JSON text or the old seal), this byte changes, so a write torn
-    anywhere before it leaves a slot that fails its checksum."""
-    return bytes((0x80 | ((round_index >> 1) & 1),))
-
-
-def _config_key(cfg_hash: str) -> bytes:
-    return hashlib.sha256(cfg_hash.encode("utf-8")).digest()
-
-
-def _record(round_index: int, payload: bytes, cfg_hash: str) -> bytes:
-    """One slot's record: header, JSON document, seal."""
-    fields = _FIELDS.pack(_MAGIC, round_index, len(payload), _config_key(cfg_hash))
-    seal = _seal(round_index)
-    checksum = hashlib.sha256(fields)
-    checksum.update(payload)
-    checksum.update(seal)
-    return b"".join((fields, checksum.digest(), payload, seal))
-
-
-def _slot_size(dim: int, record_size: int) -> int:
-    """Slot bytes: fixed for a model dimension, so a slot never grows within
-    an experiment, and never smaller than the record."""
-    need = max(_HEADER_SIZE + _SLOT_OVERHEAD + _BYTES_PER_PARAM * dim, record_size)
-    return -(-need // _PAGE) * _PAGE
-
-
-def save_checkpoint(path: str, round_index: int, params: ParameterVector, cfg_hash: str) -> None:
-    """Durably persist (round, global model) into slot ``round_index % 2``.
-
-    In steady state the other slot holds the previous round of this
-    experiment, and the record overwrites this slot in place, followed by
-    one ``fdatasync``: no new file, no rename. Otherwise (first save, a
-    start-over, another run's file) a fresh file is written under a unique
-    temporary name, fsynced, renamed over the target, and its directory is
-    fsynced. A crash at any byte boundary leaves the slot being written
-    either complete or failing its checksum, so resume finds the previous
-    round or the new one, never a torn one."""
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "round": round_index,
-        "global": params.tolist(),
-        "config_hash": cfg_hash,
-    }
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
-    record = _record(round_index, payload, cfg_hash)
-    slot = _slot_size(params.dim, len(record))
-    try:
-        if not _overwrite_slot(path, record, slot, round_index, cfg_hash):
-            _write_fresh(path, record, slot, round_index)
-    except OSError as exc:
-        raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
-
-
-def _overwrite_slot(path: str, record: bytes, slot: int, round_index: int, cfg_hash: str) -> bool:
-    """Write the record in place if the file is this experiment's two-slot
-    file of this size holding round ``round_index - 1``; else return False."""
-    try:
-        fd = os.open(path, os.O_RDWR)
-    except FileNotFoundError:
-        return False
-    try:
-        if os.fstat(fd).st_size != 2 * slot:
-            return False
-        offset = (round_index % 2) * slot
-        magic, other_round, _, key = _FIELDS.unpack(
-            os.pread(fd, _FIELDS.size, slot - offset)
-        )
-        if magic != _MAGIC or other_round != round_index - 1 or key != _config_key(cfg_hash):
-            return False
-        view = memoryview(record)
-        while view:
-            written = os.pwrite(fd, view, offset)
-            view, offset = view[written:], offset + written
-        getattr(os, "fdatasync", os.fsync)(fd)
-        return True
-    finally:
-        os.close(fd)
-
-
-def _write_fresh(path: str, record: bytes, slot: int, round_index: int) -> None:
-    """Replace the file with one holding the record in its slot and zeros
-    elsewhere. The zeros are written, not left as a hole, so later in-place
-    writes allocate no blocks."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            before = (round_index % 2) * slot
-            _write_zeros(fh, before)
-            fh.write(record)
-            _write_zeros(fh, 2 * slot - before - len(record))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-    dir_fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
-def _write_zeros(fh, count: int) -> None:
-    zeros = memoryview(bytes(min(count, _FILL_CHUNK)))
-    while count:
-        chunk = min(count, len(zeros))
-        fh.write(zeros[:chunk])
-        count -= chunk
-
-
-def _newest_payload(path: str, fd: int) -> bytes:
-    """The JSON document of the highest-round slot whose magic, length and
-    checksum hold."""
-    if os.pread(fd, 1, 0) == b"{":
-        raise CheckpointError(
-            f"{path} is a fedkit-checkpoint-v1 file; only {CHECKPOINT_FORMAT} files are read"
-        )
-    size = os.fstat(fd).st_size
-    if size == 0 or size % (2 * _PAGE):
-        raise CheckpointError(
-            f"{path} is not a {CHECKPOINT_FORMAT} file: {size} bytes is not two "
-            f"slots of a multiple of {_PAGE} bytes"
-        )
-    slot = size // 2
-    headers = []
-    for offset in (0, slot):
-        header = os.pread(fd, _HEADER_SIZE, offset)
-        magic, round_index, length, _ = _FIELDS.unpack_from(header)
-        if magic == _MAGIC and _HEADER_SIZE + length < slot:
-            headers.append((round_index, offset, length, header))
-    for _, offset, length, header in sorted(headers, reverse=True):
-        body = os.pread(fd, length + 1, offset + _HEADER_SIZE)  # payload and seal
-        checksum = hashlib.sha256(header[: _FIELDS.size])
-        checksum.update(body)
-        if checksum.digest() == header[_FIELDS.size :]:
-            return body[:-1]
-    raise CheckpointError(f"corrupt checkpoint {path}: no slot passes its checksum")
-
-
-def resume_from_checkpoint(
-    path: str, expected_config_hash: Optional[str] = None
-) -> tuple[ParameterVector, int]:
-    """Load the last aggregated global model and the next round index.
-
-    A restarted server re-broadcasts the task for the returned round. A
-    config-hash mismatch is a hard error: resuming under a different
-    experiment config would silently corrupt it.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except FileNotFoundError as exc:
-        raise CheckpointError(f"no checkpoint at {path}") from exc
-    except OSError as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
-    try:
-        doc = json.loads(_newest_payload(path, fd))
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
-    finally:
-        os.close(fd)
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    if set(doc) != {"format", "round", "global", "config_hash"}:
-        raise CheckpointError(f"checkpoint {path} has unexpected structure")
-    round_index = doc["round"]
-    if type(round_index) is not int or round_index < 0:
-        raise CheckpointError(f"checkpoint {path} has invalid round {round_index!r}")
-    if not isinstance(doc["config_hash"], str):
-        raise CheckpointError(f"checkpoint {path} has invalid config hash {doc['config_hash']!r}")
-    if expected_config_hash is not None and doc["config_hash"] != expected_config_hash:
-        raise CheckpointError(
-            f"checkpoint {path} belongs to a different experiment config "
-            f"({doc['config_hash'][:12]}… vs {expected_config_hash[:12]}…)"
-        )
-    try:
-        params = ParameterVector(doc["global"])
-    except (FedkitError, TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"checkpoint {path} has invalid parameters: {exc}") from exc
-    return params, round_index + 1
-
 
 # --- round state -------------------------------------------------------------
 
@@ -680,7 +348,7 @@ def build_experiment_report(
         records,
         final_scores,
         final_global=final_global,
-        config=to_json(cfg),
+        config=cfg,
         validate_seconds=validate_seconds,
         status=status,
         **findings,
@@ -692,9 +360,9 @@ def build_experiment_report(
 POLL_SECONDS = 0.2  # longest the loop sleeps before it looks at stop() again
 STARTUP_TIMEOUT_SECONDS = 30.0  # how long run() waits for the first join
 SEND_TIMEOUT_SECONDS = 0.5  # bounds a send to a peer that stopped reading
-# What a connection may buffer before it has joined; a join_request frame is
-# about 70 B, so anything past this is not a client.
-PREJOIN_BUFFER_BYTES = 4096
+# The largest payload a connection may announce before it has joined; a
+# join_request frame is about 70 B, so anything past this is not a client.
+PREJOIN_FRAME_BYTES = 4096
 
 
 class _Connection:
@@ -702,7 +370,7 @@ class _Connection:
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.decoder = FrameDecoder()
+        self.decoder = FrameDecoder(PREJOIN_FRAME_BYTES)
         self.site: Optional[str] = None
 
 
@@ -719,12 +387,15 @@ class FederationServer:
     The thread that calls :meth:`run` does everything: one selector loop
     accepts connections, reads them, decodes frames into coordinator events
     and executes the returned commands. A connection costs a socket and a
-    frame decoder, no thread. Before its join a connection may buffer
-    ``PREJOIN_BUFFER_BYTES``; after it, the largest update frame the
-    config's dimension, site names and round count allow. ``stop()``
+    frame decoder, no thread. A connection's decoder refuses a length
+    prefix past its cap before buffering any of the payload: until the join
+    the cap is ``PREJOIN_FRAME_BYTES``, after it the largest update frame
+    the config's dimension, site names and round count allow. ``stop()``
     abandons the run from any thread (for restart tests and operator
-    interrupts) and takes effect within one poll. A later server built with ``resume=True`` reads the checkpoint
-    before it binds the port, so a CheckpointError leaves the port free.
+    interrupts) and takes effect within one poll. A later server built
+    with ``resume=True`` reads the checkpoint before it binds the port, so
+    a CheckpointError, also for a checkpoint of the last round, leaves the
+    port free.
     """
 
     def __init__(
@@ -738,7 +409,7 @@ class FederationServer:
         self._cfg_hash = config_hash(cfg)
         dim = param_dim(cfg.trainer, cfg.heterogeneity)
         # After a join the only frame a peer may send is an update.
-        self._update_cap = max_update_payload(dim, cfg.site_names, cfg.rounds)
+        self._update_cap = min(max_update_payload(dim, cfg.site_names, cfg.rounds), MAX_FRAME_BYTES)
         start_round, start_global = 0, None
         if resume:
             start_global, start_round = resume_from_checkpoint(
@@ -748,6 +419,11 @@ class FederationServer:
                 raise CheckpointError(
                     f"checkpoint {cfg.checkpoint_path} holds a dim-{start_global.dim} "
                     f"global; the config's model has dim {dim}"
+                )
+            if start_round >= cfg.rounds:
+                raise CheckpointError(
+                    f"checkpoint {cfg.checkpoint_path} holds the last round {start_round - 1}; "
+                    "nothing is left to resume"
                 )
             logger.info("resuming from checkpoint at round %d", start_round)
         self._coordinator = FederationCoordinator(
@@ -840,10 +516,6 @@ class FederationServer:
                 self._dispatch(conn, msg)
                 if self._coordinator.status is not None:
                     return
-            if conn.site is None and conn.decoder.pending_bytes > PREJOIN_BUFFER_BYTES:
-                raise ProtocolError(
-                    f"{conn.decoder.pending_bytes} bytes buffered before a join_request"
-                )
         except (OSError, ProtocolError) as exc:
             logger.debug("connection error for %s: %s", conn.site, exc)
             self._selector.unregister(conn.sock)

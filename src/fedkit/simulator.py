@@ -26,102 +26,25 @@ a scenario replays bit-identically.
 import dataclasses
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
+from .checkpoint import resume_from_checkpoint, save_checkpoint
 from .client import ClientConfig, ClientSession, TrainTask
-from .errors import ConfigError, ReportError
+from .config import FAULT_TARGET_SERVER, FaultEvent, FederationConfig, SimScenario, config_hash
+from .errors import ReportError
 from .metrics import ExperimentReport
 from .protocol import Message, decode, encode
 from .server import (
-    FederationConfig,
     FederationCoordinator,
     SaveCheckpoint,
     StartTimer,
     build_experiment_report,
-    config_hash,
-    resume_from_checkpoint,
-    save_checkpoint,
     validation_data,
 )
 from .training import evaluate, initial_global, metric_for, train_local_only
 
 DEFAULT_NO_PROGRESS_SECONDS = 1e5
-
-FAULT_TARGET_SERVER = "server"
-FAULT_KINDS = ("crash", "disconnect")
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One injected failure: a server restart or a client outage at a round.
-
-    Client faults fire when that round's task reaches the client; ``crash``
-    loses in-progress state (the client retrains after rejoining), while
-    ``disconnect`` keeps the trained update for resubmission. Downtime is
-    virtual seconds; ``inf`` means the target never comes back.
-    """
-
-    at_round: int
-    target: str  # "server" or a site name
-    kind: str = "crash"
-    downtime_seconds: float = 0.0
-
-    def __post_init__(self):
-        if self.at_round < 0:
-            raise ConfigError(f"at_round must be >= 0, got {self.at_round}")
-        if self.kind not in FAULT_KINDS:
-            raise ConfigError(f"kind must be one of {FAULT_KINDS}, got {self.kind!r}")
-        if self.target == FAULT_TARGET_SERVER and self.kind != "crash":
-            raise ConfigError(f"kind must be 'crash' for a server fault, got {self.kind!r}")
-        if math.isnan(self.downtime_seconds) or self.downtime_seconds < 0:
-            raise ConfigError(f"downtime_seconds must be >= 0, got {self.downtime_seconds}")
-
-
-@dataclass(frozen=True)
-class SimScenario:
-    """A federation config plus the timing model and fault schedule."""
-
-    federation: FederationConfig
-    site_multipliers: Mapping[str, float] = field(default_factory=dict)
-    base_round_cost_seconds: float = 1.0
-    aggregation_cost_seconds: float = 0.0
-    faults: tuple[FaultEvent, ...] = ()
-    local_baseline: bool = False
-
-    def __post_init__(self):
-        names = set(self.federation.site_names)
-        for site, mult in self.site_multipliers.items():
-            if site not in names:
-                raise ConfigError(f"site_multipliers names unknown site {site!r}")
-            if not mult > 0 or not math.isfinite(mult):
-                raise ConfigError(f"site_multipliers must be finite and > 0, got {mult} for {site!r}")
-        if not self.base_round_cost_seconds > 0:
-            raise ConfigError(
-                f"base_round_cost_seconds must be > 0, got {self.base_round_cost_seconds}"
-            )
-        if self.aggregation_cost_seconds < 0:
-            raise ConfigError(
-                f"aggregation_cost_seconds must be >= 0, got {self.aggregation_cost_seconds}"
-            )
-        for key in ("base_round_cost_seconds", "aggregation_cost_seconds"):
-            # Non-finite costs would put the virtual clock at inf or NaN.
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        faults = tuple(self.faults)
-        for fault in faults:
-            if fault.at_round >= self.federation.rounds:
-                raise ConfigError(
-                    f"faults must fall in rounds 0-{self.federation.rounds - 1}, "
-                    f"got at_round {fault.at_round}"
-                )
-            if fault.target != FAULT_TARGET_SERVER and fault.target not in names:
-                raise ConfigError(f"faults must target the server or a site, got {fault.target!r}")
-        object.__setattr__(self, "faults", faults)
-        object.__setattr__(self, "site_multipliers", dict(self.site_multipliers))
-
-    def multiplier(self, site: str) -> float:
-        return self.site_multipliers.get(site, 1.0)
 
 
 @dataclass

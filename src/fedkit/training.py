@@ -29,10 +29,8 @@ equivalence property in the test suite relies on exact oracle comparison,
 which stochastic minibatching would turn into statistical tolerances.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.random import default_rng
@@ -397,9 +395,3 @@ def metric_for(tcfg: TrainerConfig) -> str:
     """The natural evaluation metric of a trainer."""
     return "mse_loss" if tcfg.trainer == "least_squares" else "dice"
 
-
-def with_fraction(hcfg: HeterogeneityConfig, fraction: Optional[float]) -> HeterogeneityConfig:
-    """A copy of ``hcfg`` with a per-site fraction override applied."""
-    if fraction is None:
-        return hcfg
-    return dataclasses.replace(hcfg, fraction=fraction)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fedkit import server
+from fedkit import ParameterVector, checkpoint, server
 from fedkit.cli import main
 from fedkit.config import load_config
 from fedkit.metrics import load_report
@@ -69,12 +69,21 @@ class TestServerCommand:
         assert code == 3
         assert "checkpoint" in capsys.readouterr().err.lower()
 
+    def test_resume_of_a_finished_run_exits_3(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        cfg = load_config(path).federation
+        checkpoint.save_checkpoint(cfg.checkpoint_path, cfg.rounds - 1, ParameterVector.zeros(3),
+                                   config_hash(cfg))
+        code = main(["server", "--config", path, "--listen", "127.0.0.1:0", "--resume"])
+        assert code == 3
+        assert "holds the last round 1" in capsys.readouterr().err
+
     def test_resume_from_malformed_checkpoint_exits_3(self, tmp_path, capsys):
         path = write_config(tmp_path)
         doc = {"format": "fedkit-checkpoint-v2", "round": 0, "global": [10**400],
                "config_hash": config_hash(load_config(path).federation)}
-        record = server._record(0, json.dumps(doc).encode(), doc["config_hash"])
-        server._write_fresh(str(tmp_path / "ckpt.json"), record, 4096, 0)
+        record = checkpoint._record(0, json.dumps(doc).encode(), doc["config_hash"])
+        checkpoint._write_fresh(str(tmp_path / "ckpt.json"), record, 4096, 0)
         code = main(["server", "--config", path, "--listen", "127.0.0.1:0", "--resume"])
         assert code == 3
         assert "invalid parameters" in capsys.readouterr().err

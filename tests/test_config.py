@@ -221,6 +221,14 @@ class TestParseConfig:
         scenario = parse(minimal_config(simulator={"faults": [fault]})).scenario
         assert scenario.faults[0].downtime_seconds == math.inf
 
+    def test_clock_overflow_fails_at_parse_naming_its_key(self):
+        simulator = {"site_multipliers": {"a": 1e300}, "base_round_cost_seconds": 1e10}
+        with pytest.raises(ConfigError, match=r"^cfg\.json:\d+: simulator\.site_multipliers: "
+                                              r"overflows the virtual clock"):
+            parse(minimal_config(simulator=simulator))
+        simulator["base_round_cost_seconds"] = 1e5
+        assert parse(minimal_config(simulator=simulator)).scenario.multiplier("a") == 1e300
+
 
 def fault(**fields):
     return {"simulator": {"faults": [{"at_round": 0, "target": "a", **fields}]}}
@@ -259,6 +267,14 @@ INVALID_VALUES = {
     "aggregation_cost": ({"simulator": {"aggregation_cost_seconds": -1.0}},
                          "aggregation_cost_seconds"),
     "weighting": ({"algorithm": {"weighting": "bogus"}}, "weighting"),
+    # Finite factors whose virtual clock would overflow.
+    "clock_multiplier": ({"simulator": {"site_multipliers": {"a": 1e300},
+                                        "base_round_cost_seconds": 1e10}}, "site_multipliers"),
+    "clock_costs": ({"simulator": {"base_round_cost_seconds": 1e308,
+                                   "aggregation_cost_seconds": 1e308}}, "base_round_cost_seconds"),
+    "clock_downtimes": ({"simulator": {"faults": [
+        {"at_round": 0, "target": "a", "downtime_seconds": 1e308},
+        {"at_round": 1, "target": "b", "downtime_seconds": 1e308}]}}, "faults"),
 }
 
 

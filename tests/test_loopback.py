@@ -260,6 +260,28 @@ class TestRawConnections:
             assert_closed_by_server(raw)
         self.complete_experiment(cfg, server, thread, holder)
 
+    def test_payload_announced_past_the_prejoin_cap_is_dropped(self, tmp_path):
+        # The length prefix alone is refused, before any client joins: no
+        # payload byte is sent, and the run has not ended.
+        assert fedkit.server.PREJOIN_FRAME_BYTES < 5000
+        cfg, server, thread, holder = self.start_server(tmp_path)
+        with socket.create_connection(server.address) as raw:
+            raw.sendall((5000).to_bytes(4, "big"))
+            assert_closed_by_server(raw)
+        self.complete_experiment(cfg, server, thread, holder)
+
+    def test_join_request_sent_one_byte_at_a_time_joins(self, tmp_path):
+        cfg, server, thread, holder = self.start_server(tmp_path)
+        with socket.create_connection(server.address) as raw:
+            raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            raw.settimeout(5.0)
+            for byte in encode(Message("join_request", 0, "basel")):
+                raw.sendall(bytes((byte,)))
+                time.sleep(0.001)
+            [ack] = receive(raw, FrameDecoder(), 1)
+            assert ack.kind == "join_ack" and ack.body.accepted
+        self.complete_experiment(cfg, server, thread, holder)
+
     def test_first_frame_other_than_join_is_dropped(self, tmp_path):
         cfg, server, thread, holder = self.start_server(tmp_path)
         with socket.create_connection(server.address) as raw:

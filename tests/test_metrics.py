@@ -5,11 +5,16 @@ import math
 import pytest
 
 from fedkit import (
+    AlgorithmConfig,
     ClientRoundStat,
     EvalScore,
+    FederationConfig,
+    HeterogeneityConfig,
     ParameterVector,
     ReportError,
     RoundRecord,
+    SiteSpec,
+    TrainerConfig,
     compare_global_local,
     export_csv,
     summarize,
@@ -45,6 +50,16 @@ def load_report_doc(doc):
     return from_json(ExperimentReport, doc, lambda key, why: ReportError(f"{key}: {why}"))
 
 
+def make_config(rounds=2, sites=("a", "b", "c")):
+    return FederationConfig(
+        sites=tuple(SiteSpec(s) for s in sites),
+        rounds=rounds,
+        algorithm=AlgorithmConfig(),
+        trainer=TrainerConfig(),
+        heterogeneity=HeterogeneityConfig(base_optimum=(1.0, 2.0)),
+    )
+
+
 def make_records(rounds=2, sites=("a", "b", "c")):
     records = []
     for r in range(rounds):
@@ -57,7 +72,7 @@ def make_report(rounds=2):
     records = make_records(rounds)
     scores = {"a": dice(0.6), "b": dice(0.7), "c": dice(0.65)}
     return summarize(
-        records, scores, final_global=ParameterVector([1.0, 2.0]), config={"rounds": rounds}
+        records, scores, final_global=ParameterVector([1.0, 2.0]), config=make_config(rounds)
     )
 
 
@@ -65,7 +80,8 @@ class TestSummarize:
     def test_single_round_single_client(self):
         records = [RoundRecord(0, {"a": stat(12.5)}, aggregation_seconds=0.25)]
         report = summarize(
-            records, {"a": dice(0.5)}, final_global=ParameterVector([0.0]), validate_seconds=1.5
+            records, {"a": dice(0.5)}, final_global=ParameterVector([0.0]),
+            config=make_config(1, sites=("a",)), validate_seconds=1.5,
         )
         assert report.totals.train == 12.5
         assert report.totals.aggregate == 0.25
@@ -78,7 +94,7 @@ class TestSummarize:
         assert abs(report.totals.aggregate - sum(r.aggregation_seconds for r in report.rounds)) < 1e-9
 
     def test_empty_records_give_zero_totals(self):
-        report = summarize([], {}, final_global=None, status="hung")
+        report = summarize([], {}, final_global=None, config=make_config(), status="hung")
         assert report.rounds == ()
         assert report.totals == Totals(train=0.0, validate=0.0, aggregate=0.0)
         assert report.global_mean is None
@@ -198,7 +214,8 @@ class TestCsvExport:
             0, {"a": stat(1.0), "b": stat(0.0, submitted=False)}, aggregation_seconds=0.0
         )
         report = summarize(
-            [record], {"a": dice(0.7)}, final_global=ParameterVector([0.0])
+            [record], {"a": dice(0.7)}, final_global=ParameterVector([0.0]),
+            config=make_config(1, sites=("a", "b")),
         )
         path = tmp_path / "r.csv"
         export_csv(report, str(path))

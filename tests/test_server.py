@@ -20,7 +20,7 @@ from fedkit import (
     TrainerConfig,
     resume_from_checkpoint,
 )
-from fedkit import server
+from fedkit import checkpoint
 from fedkit.server import (
     SaveCheckpoint,
     StartTimer,
@@ -32,8 +32,8 @@ from fedkit.server import (
 
 def write_checkpoint_document(path, doc, round_index=0, cfg_hash="x"):
     """A checkpoint file whose slot passes its checksum but holds ``doc``."""
-    record = server._record(round_index, json.dumps(doc).encode(), cfg_hash)
-    server._write_fresh(path, record, server._slot_size(1, len(record)), round_index)
+    record = checkpoint._record(round_index, json.dumps(doc).encode(), cfg_hash)
+    checkpoint._write_fresh(path, record, checkpoint._slot_size(1, len(record)), round_index)
 
 
 def make_cfg(tmp_path, sites=("a", "b", "c"), rounds=3, **kw):
@@ -159,8 +159,8 @@ class TestCheckpoint:
         slot = len(before) // 2
         # Round 3's record, exactly as save_checkpoint writes it over slot 1.
         save_checkpoint(path, 3, models[3], "h")
-        header = server._FIELDS.unpack_from(Path(path).read_bytes(), slot)
-        record = Path(path).read_bytes()[slot:slot + server._HEADER_SIZE + header[2] + 1]
+        header = checkpoint._FIELDS.unpack_from(Path(path).read_bytes(), slot)
+        record = Path(path).read_bytes()[slot:slot + checkpoint._HEADER_SIZE + header[2] + 1]
         for written in range(len(record) + 1):
             Path(path).write_bytes(before)
             with open(path, "r+b") as fh:
@@ -175,7 +175,7 @@ class TestCheckpoint:
         save_checkpoint(path, 1, ParameterVector([2.0]), "h")
         blob = bytearray(Path(path).read_bytes())
         for offset in (0, len(blob) // 2):
-            blob[offset + server._HEADER_SIZE + 3] ^= 0xFF  # a payload byte
+            blob[offset + checkpoint._HEADER_SIZE + 3] ^= 0xFF  # a payload byte
         Path(path).write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="checksum"):
             resume_from_checkpoint(path)
