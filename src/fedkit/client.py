@@ -69,8 +69,10 @@ class ClientConfig:
         if not self.site_name:
             raise ConfigError("site_name must be non-empty")
         host, port = self.server_address
-        if not isinstance(host, str) or not 0 <= int(port) <= 65535:
-            raise ConfigError(f"invalid server address {self.server_address!r}")
+        if not isinstance(port, int) or isinstance(port, bool) or not 0 <= port <= 65535:
+            raise ConfigError(f"server_address: port {port!r} is not an integer in [0, 65535]")
+        if not isinstance(host, str) or "[" in host or "]" in host:
+            raise ConfigError(f"server_address: host {host!r} is not a host name or address")
         # The IDNA codec's rule for a nonempty ASCII host, which the runtime
         # resolves without the codec: past one trailing dot, every label has
         # 1-63 characters.
@@ -79,15 +81,17 @@ class ClientConfig:
             raise ConfigError(
                 f"server_address: host {host!r} has an empty label or one over 63 characters"
             )
-        object.__setattr__(self, "server_address", (host, int(port)))
+        object.__setattr__(self, "server_address", (host, port))
         if self.site_index < 0:
             raise ConfigError(f"site_index must be >= 0, got {self.site_index}")
 
 
 def parse_address(text: str) -> tuple:
-    """Parse 'host:port' (split on the last colon)."""
+    """Parse 'host:port' (split on the last colon) or '[IPv6 address]:port'."""
     host, sep, port = text.rpartition(":")
-    if not sep or not host or not port.isdigit():
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    if not sep or not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ConfigError(f"expected HOST:PORT, got {text!r}")
     return host, int(port)
 

@@ -10,10 +10,13 @@ import base64
 import collections.abc
 import dataclasses
 import functools
+import json
 import math
 import types
 import typing
+from binascii import b2a_base64
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,20 +43,20 @@ def all_finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr).all())
 
 
-def _as_readonly_f64(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    arr.setflags(write=False)
-    return arr
+# A vector's values are little-endian float64, the wire's byte order.
+_F64LE = np.dtype("<f8")
 
 
 @dataclass(frozen=True, eq=False)
 class ParameterVector:
-    """Flat, ordered float64 weight vector; the unit exchanged with the server."""
+    """Flat, ordered little-endian float64 weights; the unit exchanged with the server."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_readonly_f64(self.values)
+        # A copy, made read-only; numpy parses keyword arguments slowly.
+        arr = np.array(self.values, _F64LE)
+        arr.setflags(False)
         if arr.ndim != 1:
             raise DimensionError(f"parameter vector must be 1-D, got shape {arr.shape}")
         if arr.size == 0:
@@ -164,20 +167,13 @@ def dice_score(predicted: Sequence | Iterable, truth: Sequence | Iterable) -> fl
     return (2 * intersection) / (size_p + size_t)
 
 
-# JSON scalars: to_json returns them unchanged, and checks them first.
+# JSON scalars: to_json returns them unchanged.
 _SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-@functools.cache
-def field_names(cls):
-    """Field names of dataclass ``cls``, or None for any other type."""
-    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
 
 
 # The one key of a parameter vector's JSON object; its value is the base64
 # of the vector's little-endian float64 bytes.
 VECTOR_KEY = "f64le"
-_F64LE = np.dtype("<f8")
 
 
 def to_json(value):
@@ -185,24 +181,17 @@ def to_json(value):
 
     A dataclass becomes ``{field: value}``, a parameter vector becomes
     ``{"f64le": base64 of its little-endian float64 bytes}``, a tuple
-    becomes a list, and mappings keep their keys. Config echoes, reports and
-    wire bodies all serialize through here, and :func:`from_json` is the
-    inverse, so the dataclasses are the one schema.
+    becomes a list, and mappings keep their keys. Config echoes and reports
+    serialize through here, :func:`json_writer` writes the same document
+    as text, and :func:`from_json` is the inverse, so the dataclasses are
+    the one schema.
     """
     if type(value) in _SCALARS:
         return value
     if isinstance(value, ParameterVector):
-        raw = value.values.astype(_F64LE, copy=False).tobytes()
-        return {VECTOR_KEY: base64.b64encode(raw).decode("ascii")}
-    names = field_names(type(value))
-    if names is not None:
-        out = {}
-        for name in names:
-            # Most fields are scalars; returning those without a call keeps
-            # per-message encoding as cheap as a hand-written encoder.
-            item = getattr(value, name)
-            out[name] = item if type(item) in _SCALARS else to_json(item)
-        return out
+        return {VECTOR_KEY: b2a_base64(value.values.tobytes(), newline=False).decode()}
+    if dataclasses.is_dataclass(value):
+        return {name: to_json(getattr(value, name)) for name in _schema(type(value))}
     if isinstance(value, dict):
         return {key: to_json(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -211,30 +200,20 @@ def to_json(value):
 
 
 # Names of field annotations and of JSON value types, for messages.
-_TYPE_NAMES = {
-    int: "integer", float: "number", str: "string", bool: "boolean",
-    list: "array", dict: "object", type(None): "null",
-}
+_TYPE_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean",
+               list: "array", dict: "object", type(None): "null"}
 # How a field's JSON value becomes the field: kept after a type check, a
 # nested object, an array, a mapping, or a vector.
 _VALUE, _OBJECT, _ARRAY, _MAPPING, _VECTOR = range(5)
-
-
-def _value_check(hint) -> tuple:
-    """(expected-type phrase, annotated types) of a plain field. A field
-    takes exactly its annotated types (so a bool is no int), and a number
-    field also takes an integer that converts to a float."""
-    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
-    kinds = typing.get_args(hint) if union else (hint,)
-    return " or ".join(_TYPE_NAMES[k] for k in kinds), kinds
 
 
 @functools.cache
 def _shape(hint) -> tuple:
     """(shape, argument, nullable) of an annotation. The argument is the
     nested dataclass, the shape of an array's elements or of a mapping's
-    values, or the value check. ``Optional[X]`` of a shape other than a
-    plain value is X or null."""
+    values, or a plain value's (expected-type phrase, annotated types): it
+    takes exactly those (so a bool is no int), and a number also takes an
+    integer. ``Optional[X]`` of a shape other than a plain value is X or null."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         shape, arg, _ = _shape(args[1] if args[0] is type(None) else args[0])
@@ -248,20 +227,16 @@ def _shape(hint) -> tuple:
         return _ARRAY, _shape(args[0]), False
     if origin is collections.abc.Mapping:
         return _MAPPING, _shape(args[1]), False
-    return _VALUE, _value_check(hint), False
+    kinds = args if origin in (typing.Union, types.UnionType) else (hint,)
+    return _VALUE, (" or ".join(_TYPE_NAMES[k] for k in kinds), kinds), False
 
 
 @functools.cache
 def _schema(cls) -> dict:
     """Per field of dataclass ``cls``: (required, shape, argument, nullable).
-    Resolved once per class."""
-    return {
-        f.name: (
-            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
-            *_shape(f.type),
-        )
-        for f in dataclasses.fields(cls)
-    }
+    Resolved once per class; the decoders and writers are built from it."""
+    return {f.name: (f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+                     *_shape(f.type)) for f in dataclasses.fields(cls)}
 
 
 def _path(where: str, key: str) -> str:
@@ -272,7 +247,7 @@ def _parse_vector(value, fail, path: str) -> ParameterVector:
     """The vector of JSON ``{"f64le": base64}`` at key ``path``."""
     if type(value) is not dict:
         raise fail(path, f"invalid value: expected object, got {_TYPE_NAMES[type(value)]}")
-    key = _path(path, VECTOR_KEY)
+    key = f"{path}.{VECTOR_KEY}"
     for name in value:
         if name != VECTOR_KEY:
             raise fail(_path(path, name), "unknown key")
@@ -289,37 +264,88 @@ def _parse_vector(value, fail, path: str) -> ParameterVector:
         raise fail(key, f"invalid value: {len(raw)} bytes is not a nonzero multiple of 8")
     try:
         # Finiteness is the ParameterVector constructor's check.
-        return ParameterVector(np.frombuffer(raw, dtype=_F64LE))
+        return ParameterVector(np.frombuffer(raw, _F64LE))
     except FedkitError as exc:
         raise fail(key, f"invalid value: {exc}") from exc
 
 
-def _parse(shape, arg, nullable, value, fail, path: str, wire: bool):
-    """The field value that JSON ``value`` at key ``path`` stands for."""
-    if value is None and nullable:
-        return None
+@functools.cache
+def _converter(shape, arg, nullable, wire: bool):
+    """``convert(value, fail, path)``: the field value of JSON ``value`` at key ``path``."""
     if shape is _VALUE:
-        if type(value) in arg[1]:
-            return value
-        if type(value) is int and float in arg[1]:
-            try:
-                float(value)  # the field keeps the integer
-            except OverflowError as exc:
-                raise fail(path, f"invalid value: {exc}") from exc
-            return value
-        raise fail(path, f"invalid value: expected {arg[0]}, got {_TYPE_NAMES[type(value)]}")
-    if shape is _OBJECT:
-        return from_json(arg, value, fail, path, wire=wire)
-    if shape is _VECTOR:
-        return _parse_vector(value, fail, path)
-    if shape is _MAPPING:
-        if type(value) is not dict:
-            raise fail(path, f"must be an object, got {_TYPE_NAMES[type(value)]}")
-        return {key: _parse(*arg, v, fail, _path(path, key), wire) for key, v in value.items()}
-    if type(value) is not list:
-        raise fail(path, f"must be an array, got {_TYPE_NAMES[type(value)]}")
-    return tuple(_parse(*arg, item, fail, f"{path}[{index}]", wire)
-                 for index, item in enumerate(value))
+        expected, kinds = arg
+
+        def convert(value, fail, path):
+            if type(value) in kinds:
+                return value
+            if type(value) is int and float in kinds:
+                try:
+                    float(value)  # the field keeps the integer
+                except OverflowError as exc:
+                    raise fail(path, f"invalid value: {exc}") from exc
+                return value
+            raise fail(path, f"invalid value: expected {expected}, got {_TYPE_NAMES[type(value)]}")
+    elif shape is _OBJECT:
+        convert = _decoder(arg, wire)
+    elif shape is _VECTOR:
+        convert = _parse_vector
+    else:
+        item = _converter(*arg, wire)
+        container = dict if shape is _MAPPING else list
+
+        def convert(value, fail, path):
+            if type(value) is not container:
+                raise fail(path, f"must be an {_TYPE_NAMES[container]}, got {_TYPE_NAMES[type(value)]}")
+            if container is dict:
+                return {key: item(v, fail, _path(path, key)) for key, v in value.items()}
+            return tuple(item(v, fail, f"{path}[{index}]") for index, v in enumerate(value))
+    if not nullable:
+        return convert
+    return lambda value, fail, path: None if value is None else convert(value, fail, path)
+
+
+@functools.cache
+def _decoder(cls, wire: bool):
+    """``decode(obj, fail, where="", given=None)`` of dataclass ``cls``; see :func:`from_json`."""
+    schema = _schema(cls)
+    keys = frozenset(schema)
+    # Per field: name, JSON types kept as they are, converter of other values, and what
+    # an omitted key takes: an error (True), the default (False) or a nested object's.
+    fields = [(name, arg[1] if shape is _VALUE else (), _converter(shape, arg, nullable, wire),
+               _decoder(arg, False) if shape is _OBJECT and not (nullable or wire) else required or wire)
+              for name, (required, shape, arg, nullable) in schema.items()]
+
+    def decode(obj, fail, where="", given=None):
+        if type(obj) is not dict:
+            raise fail(where, f"must be an object, got {_TYPE_NAMES[type(obj)]}")
+        kwargs = {} if given is None else given
+        if not keys.issuperset(obj) or (kwargs and not kwargs.keys().isdisjoint(obj)):
+            key = next(key for key in obj if key not in keys or key in kwargs)
+            raise fail(_path(where, key), "unknown key")
+        for name, kinds, convert, missing in fields:
+            if name in obj:
+                value = obj[name]  # a plain value of its field's type formats no key path
+                kwargs[name] = value if type(value) in kinds else \
+                    convert(value, fail, f"{where}.{name}" if where else name)
+            elif missing and name not in kwargs:
+                if missing is True:
+                    raise fail(_path(where, name), "missing required key")
+                kwargs[name] = missing({}, fail, _path(where, name))
+        try:
+            return cls(**kwargs)
+        except FedkitError as exc:
+            # A check that names a field first is about that field's key.
+            name, _, why = str(exc).partition(" ")
+            if name in schema:
+                raise fail(_path(where, name), why) from exc
+            raise fail(where, str(exc)) from exc
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            # A value the JSON type check admits, or a ``given`` one, can
+            # still fail inside the dataclass's own checks, which cannot
+            # tell which key held it.
+            raise fail(where, f"invalid value: {exc}") from exc
+
+    return decode
 
 
 def from_json(cls, obj, fail, where: str = "", *, wire: bool = False, **given):
@@ -334,39 +360,42 @@ def from_json(cls, obj, fail, where: str = "", *, wire: bool = False, **given):
     field's annotation, an ``Optional`` field also takes null, and the
     dataclass's own checks run last. ``given`` fields come from the caller,
     not the document. Every failure raises ``fail(key path, why)``, the
-    caller's error type.
+    caller's error type. A decoder built once per class and mode does it.
     """
-    if type(obj) is not dict:
-        raise fail(where, f"must be an object, got {_TYPE_NAMES[type(obj)]}")
-    schema = _schema(cls)
-    if not schema.keys() >= obj.keys() or (given and not given.keys().isdisjoint(obj)):
-        key = next(key for key in obj if key not in schema or key in given)
-        raise fail(_path(where, key), "unknown key")
-    kwargs = given
-    for name, (required, shape, arg, nullable) in schema.items():
-        if name in kwargs:
-            continue
-        if name not in obj:
-            if shape is _OBJECT and not nullable and not wire:
-                kwargs[name] = from_json(arg, {}, fail, _path(where, name))
-            elif required or wire:
-                raise fail(_path(where, name), "missing required key")
-            continue
-        value = obj[name]
-        if shape is _VALUE and type(value) in arg[1]:  # the common case formats no key path
-            kwargs[name] = value
-        else:
-            kwargs[name] = _parse(shape, arg, nullable, value, fail, _path(where, name), wire)
-    try:
-        return cls(**kwargs)
-    except FedkitError as exc:
-        # A check that names a field first is about that field's key.
-        name, _, why = str(exc).partition(" ")
-        if name in schema:
-            raise fail(_path(where, name), why) from exc
-        raise fail(where, str(exc)) from exc
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        # A value the JSON type check admits, or a ``given`` one, can still
-        # fail inside the dataclass's own checks, which cannot tell which
-        # key held it.
-        raise fail(where, f"invalid value: {exc}") from exc
+    return _decoder(cls, wire)(obj, fail, where, given)
+
+
+# Each scalar type's JSON text as json.dumps writes it (repr of an exact int or float).
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: repr, float: repr,
+                bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
+_NON_FINITE = frozenset(("inf", "-inf", "nan"))
+_json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, default=to_json).encode
+
+
+@functools.cache
+def json_writer(cls, omit: tuple = ()):
+    """The writer of dataclass ``cls``, built once from its schema: value ->
+    ``json.dumps(to_json(value), sort_keys=True, separators=(",", ":"),
+    allow_nan=False)`` less the fields ``omit``, with no dict built between.
+    A non-finite number raises ``ValueError``, as in json.dumps."""
+    fields = [(encode_basestring_ascii(name) + ":", name,
+               json_writer(arg) if shape is _OBJECT else _json_text)
+              for name, (_, shape, arg, _) in sorted(_schema(cls).items()) if name not in omit]
+
+    def write(value) -> str:
+        parts = []
+        for prefix, name, nested in fields:
+            item = getattr(value, name)
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is not None:
+                text = scalar(item)
+                if text in _NON_FINITE:
+                    raise ValueError("Out of range float values are not JSON compliant")
+            elif type(item) is ParameterVector:
+                text = f'{{"{VECTOR_KEY}":"{b2a_base64(item.values.tobytes(), newline=False).decode()}"}}'
+            else:
+                text = nested(item)
+            parts.append(prefix + text)
+        return "{" + ",".join(parts) + "}"
+
+    return write

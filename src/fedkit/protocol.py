@@ -5,20 +5,21 @@ speak:
 
     [4-byte big-endian unsigned payload length][payload]
 
-where the payload is UTF-8 JSON ``{"kind", "round", "client_id", "body"}``
-with object keys sorted. A body holds the fields of its kind's dataclass,
-less those the envelope carries, and decodes through the schema codec's
-wire mode (:func:`~fedkit.params.from_json` with ``wire=True``): every key
-at every depth is required, defaults or not, and a body error reads
-``<kind> body: <key path>: <why>``. A parameter vector travels as the object
-``{"f64le": "<base64 of its little-endian float64 bytes>"}``, about 10.7
-bytes per parameter, so a decoded vector is bit-identical to the encoded
-one. A decoder takes exactly that one key, strict base64 (no whitespace or
-other characters), a nonzero multiple of 8 bytes and finite values.
-Frames larger than 256 MiB are rejected on both sides, which bounds memory
-against malformed length prefixes; a server caps a connection at 4 KiB
-until it joins, and then at the largest update the model's dimension
-allows (:func:`max_update_payload`).
+where the payload is compact UTF-8 JSON ``{"kind", "round", "client_id",
+"body"}`` with keys sorted. A body holds its kind's dataclass fields, less
+those the envelope carries. The class's compiled writer
+(:func:`~fedkit.params.json_writer`) writes it straight to JSON text, and
+its compiled wire-mode decoder (:func:`~fedkit.params.from_json` with
+``wire=True``) reads it back: every key at every depth is required,
+defaults or not, and a body error reads ``<kind> body: <key path>: <why>``.
+A parameter vector travels as ``{"f64le": "<base64 of its little-endian
+float64 bytes>"}``, about 10.7 bytes per parameter, so a decoded vector is
+bit-identical to the encoded one. A decoder takes exactly that one key,
+strict base64 (no whitespace or other characters), a nonzero multiple of 8
+bytes and finite values. Frames over 256 MiB are rejected on both sides,
+which bounds memory against malformed length prefixes; a server caps a
+connection at 4 KiB until it joins, and then at the largest update the
+model's dimension allows (:func:`max_update_payload`).
 
 The experiment's algorithm travels once per connection, in the
 ``join_ack`` body; a ``task_assignment`` body carries only the round's
@@ -33,9 +34,11 @@ Decoders are stateful: use one ``FrameDecoder`` per connection, never
 shared.
 """
 
+import functools
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Union
 
 from .aggregation import AlgorithmConfig
@@ -45,13 +48,14 @@ from .params import (
     ModelUpdate,
     ParameterVector,
     from_json,
-    to_json,
+    json_writer,
 )
 
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 _LENGTH_BYTES = 4
-# Built once: json.dumps with these options would build one per frame.
-_JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+# The scanner under json.loads: what it reads whole from offset 0, or an error
+# it raises there, is json.loads's, without json.loads's three Python calls.
+_SCAN = json.JSONDecoder().scan_once
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,13 @@ _BODY_TYPES = {
 }
 MESSAGE_KINDS = tuple(_BODY_TYPES)
 _ENVELOPE_KEYS = frozenset(("kind", "round", "client_id", "body"))
+
+
+@functools.cache
+def _body_writer(kind: str):
+    # An update's envelope carries its round and client id.
+    omit = ("client_id", "round") if kind == "update_submission" else ()
+    return json_writer(_BODY_TYPES[kind], omit)
 
 
 def _check_envelope(round_index, client_id) -> None:
@@ -127,19 +138,13 @@ class Message:
 
 def encode(msg: Message) -> bytes:
     """Serialize a message into one frame."""
-    document = {
-        "kind": msg.kind,
-        "round": msg.round,
-        "client_id": msg.client_id,
-        "body": {} if msg.body is None else to_json(msg.body),
-    }
-    if msg.kind == "update_submission":
-        # The envelope carries the update's round and client id.
-        del document["body"]["round"], document["body"]["client_id"]
     try:
-        payload = _JSON_ENCODER.encode(document).encode("utf-8")
+        body = "{}" if msg.body is None else _body_writer(msg.kind)(msg.body)
     except ValueError as exc:
         raise EncodeError(f"message contains non-finite values: {exc}") from exc
+    # The envelope's keys in sorted order; a kind is a plain ASCII name.
+    payload = (f'{{"body":{body},"client_id":{encode_basestring_ascii(msg.client_id)},'
+               f'"kind":"{msg.kind}","round":{int.__repr__(msg.round)}}}').encode()
     if len(payload) > MAX_FRAME_BYTES:
         raise EncodeError(f"payload of {len(payload)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
     return len(payload).to_bytes(_LENGTH_BYTES, "big") + payload
@@ -155,7 +160,7 @@ def max_update_payload(dim: int, client_ids: Iterable[str], rounds: int) -> int:
     last round, a ``sample_count`` of 2^53 and the longest printed
     ``train_seconds``. Only the vector's base64 grows with ``dim``, so this
     encodes a dim-1 update and adds the difference."""
-    client_id = max(client_ids, key=lambda name: len(_JSON_ENCODER.encode(name)))
+    client_id = max(client_ids, key=lambda name: len(encode_basestring_ascii(name)))
     update = ModelUpdate(client_id, rounds - 1, ParameterVector([0.0]), MAX_SAMPLE_COUNT,
                          train_seconds=sys.float_info.max)
     frame = encode(Message("update_submission", rounds - 1, client_id, update))
@@ -164,7 +169,13 @@ def max_update_payload(dim: int, client_ids: Iterable[str], rounds: int) -> int:
 
 def _decode_payload(payload: bytes) -> Message:
     try:
-        document = json.loads(payload.decode("utf-8"))
+        text = payload.decode("utf-8")
+        try:
+            document, end = _SCAN(text, 0)
+        except StopIteration:  # no value at offset 0, such as leading whitespace
+            end = None
+        if end != len(text):  # json.loads takes surrounding whitespace or names the error
+            document = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and integers too long to
         # parse; RecursionError, arrays nested too deep.
@@ -186,10 +197,9 @@ def _decode_payload(payload: bytes) -> Message:
         def fail(key: str, why: str) -> ProtocolError:
             return ProtocolError(f"{kind} body: {key}: {why}" if key else f"{kind} body: {why}")
 
-        if cls is ModelUpdate:  # the envelope carries its round and client id
-            body = from_json(cls, body, fail, wire=True, round=round_index, client_id=client_id)
-        else:
-            body = from_json(cls, body, fail, wire=True)
+        # An update's round and client id are the envelope's.
+        given = {"round": round_index, "client_id": client_id} if cls is ModelUpdate else {}
+        body = from_json(cls, body, fail, wire=True, **given)
     return Message(kind=kind, round=round_index, client_id=client_id, body=body)
 
 
@@ -240,7 +250,3 @@ class FrameDecoder:
             payload = bytes(self._buffer[_LENGTH_BYTES : _LENGTH_BYTES + length])
             del self._buffer[: _LENGTH_BYTES + length]
             messages.append(_decode_payload(payload))
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)

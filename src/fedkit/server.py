@@ -431,7 +431,8 @@ class FederationServer:
         )
         self._stopped = False
         self._connections: dict = {}  # site -> the _Connection that owns it
-        self._listener = socket.create_server(listen)
+        family = socket.AF_INET6 if ":" in listen[0] else socket.AF_INET  # an IPv6 address
+        self._listener = socket.create_server(listen, family=family)
         self._listener.setblocking(False)
         self.address = self._listener.getsockname()[:2]
         self._selector = selectors.DefaultSelector()

@@ -86,6 +86,25 @@ class TestParseAddress:
             with pytest.raises(ConfigError):
                 parse_address(bad)
 
+    @pytest.mark.parametrize("text, address", [
+        ("[::1]:7315", ("::1", 7315)),
+        ("::1:7315", ("::1", 7315)),
+        ("[2001:db8::1]:80", ("2001:db8::1", 80)),
+        ("[fe80::1%eth0]:0", ("fe80::1%eth0", 0)),
+    ], ids=["bracketed-loopback", "bare-loopback", "bracketed", "scoped"])
+    def test_ipv6_host(self, text, address):
+        assert parse_address(text) == address
+
+    @pytest.mark.parametrize("bad", ["[]:7315", "[::1]", "[::1]:", "[::1]:x"])
+    def test_rejects_bracketed_garbage(self, bad):
+        with pytest.raises(ConfigError):
+            parse_address(bad)
+
+    @pytest.mark.parametrize("bad", ["h:65536", "h:99999", "h:\u00b2", "h:\u0663"])
+    def test_rejects_a_port_out_of_range_or_not_in_ascii_digits(self, bad):
+        with pytest.raises(ConfigError):
+            parse_address(bad)
+
 
 class TestClientSession:
     def test_join_flow(self):
@@ -251,6 +270,21 @@ class TestClientConfig:
     def test_address_validation(self):
         with pytest.raises(ConfigError):
             ClientConfig(site_name="x", server_address=("h", 99999))
+
+    @pytest.mark.parametrize("port", ["x", "7315", None, 1.5, 1.0, True, False, -1, 65536],
+                             ids=repr)
+    def test_port_that_is_no_integer_in_range_is_a_config_error(self, port):
+        with pytest.raises(ConfigError, match="^server_address: port "):
+            ClientConfig(site_name="x", server_address=("h", port))
+
+    @pytest.mark.parametrize("port", [0, 1, 65535])
+    def test_port_in_range_passes(self, port):
+        assert ClientConfig(site_name="x", server_address=("h", port)).server_address == ("h", port)
+
+    @pytest.mark.parametrize("host", ["[::1]", "[::1", "::1]", None, 7315], ids=repr)
+    def test_bracketed_or_non_string_host_is_a_config_error(self, host):
+        with pytest.raises(ConfigError, match="^server_address: host "):
+            ClientConfig(site_name="x", server_address=(host, 7315))
 
     @pytest.mark.parametrize("host", ["a..b", ".", "x" * 64],
                              ids=["empty-label", "lone-dot", "64-character-label"])

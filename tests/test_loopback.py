@@ -34,6 +34,7 @@ from fedkit import (
     resume_from_checkpoint,
     run_client,
 )
+from fedkit.client import parse_address
 from fedkit.protocol import FrameDecoder, JoinAck, TaskAssignment, max_update_payload
 from fedkit.server import config_hash, save_checkpoint
 from fedkit.training import initial_global
@@ -64,6 +65,17 @@ def make_cfg(tmp_path, rounds=3, **kw):
 
 
 FAST_BACKOFF = BackoffPolicy(initial_seconds=0.05, max_seconds=0.5)
+
+
+def has_ipv6_loopback() -> bool:
+    if not socket.has_ipv6:
+        return False
+    try:
+        with socket.socket(socket.AF_INET6) as sock:
+            sock.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
 
 
 class ClientThread(threading.Thread):
@@ -123,6 +135,16 @@ class TestLoopbackExperiment:
         cfg = make_cfg(tmp_path, rounds=1)
         server = FederationServer(cfg, ("127.0.0.1", 0))
         threads = start_clients(cfg, ("localhost", server.address[1]))
+        report = server.run()
+        assert finish(threads) == [0, 0, 0]
+        assert report.status == "completed" and len(report.rounds) == 1
+
+    @pytest.mark.skipif(not has_ipv6_loopback(), reason="this host has no IPv6 loopback")
+    def test_server_and_clients_over_ipv6(self, tmp_path):
+        cfg = make_cfg(tmp_path, rounds=1)
+        server = FederationServer(cfg, parse_address("[::1]:0"))
+        assert server.address[0] == "::1"
+        threads = start_clients(cfg, parse_address(f"[::1]:{server.address[1]}"))
         report = server.run()
         assert finish(threads) == [0, 0, 0]
         assert report.status == "completed" and len(report.rounds) == 1
