@@ -10,8 +10,8 @@ an optional ``simulator`` block with the fields of :class:`SimScenario`
 field's default, and every module invariant is re-checked at load time.
 Any invalid key or value raises :class:`~fedkit.errors.ConfigError` naming
 its key, with a line anchor into the file wherever one can be found. The
-config echo in a report, :func:`~fedkit.params.to_json` of the config,
-parses back to an equal config with the same :func:`config_hash`.
+config echo in a report parses back to an equal config with the same
+:func:`config_hash`, the sha256 of :func:`~fedkit.params.json_writer`'s text.
 """
 
 import dataclasses
@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 
 from .aggregation import AlgorithmConfig
 from .errors import ConfigError
-from .params import from_json, to_json
+from .params import from_json, json_writer
 from .training import HeterogeneityConfig, TrainerConfig
 
 LOSS_POLICIES = ("wait", "continue_without")
@@ -126,17 +126,12 @@ class FederationConfig:
 
 
 def config_hash(cfg: FederationConfig) -> str:
-    """Identity of the experiment a checkpoint belongs to.
-
-    Operational knobs (checkpoint path, timeout) are excluded: moving a
+    """Identity of the experiment a checkpoint belongs to: the sha256 of the
+    config's JSON text less the checkpoint path and timeout. Moving a
     checkpoint file or adjusting a timeout does not change the experiment,
-    while resuming under a different algorithm or data config must fail.
-    """
-    doc = to_json(cfg)
-    doc.pop("checkpoint_path")
-    doc.pop("round_timeout_seconds")
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    while resuming under a different algorithm or data config must fail."""
+    text = json_writer(FederationConfig, ("checkpoint_path", "round_timeout_seconds"))(cfg)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import FederationConfig
 from .errors import IoError, ReportError
-from .params import EvalScore, ParameterVector, from_json, to_json
+from .params import EvalScore, ParameterVector, from_json, json_default
 
 
 def _check_times(record, *names) -> None:
@@ -210,7 +210,7 @@ def export_csv(report: ExperimentReport, path: str) -> None:
 def save_report(report: ExperimentReport, path: str) -> None:
     try:
         with open(path, "w") as fh:
-            json.dump(to_json(report), fh, sort_keys=True, indent=2)
+            json.dump(report, fh, default=json_default, sort_keys=True, indent=2)
             fh.write("\n")
     except (OSError, ValueError) as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc

@@ -167,36 +167,27 @@ def dice_score(predicted: Sequence | Iterable, truth: Sequence | Iterable) -> fl
     return (2 * intersection) / (size_p + size_t)
 
 
-# JSON scalars: to_json returns them unchanged.
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
 # The one key of a parameter vector's JSON object; its value is the base64
 # of the vector's little-endian float64 bytes.
 VECTOR_KEY = "f64le"
 
 
-def to_json(value):
-    """JSON-ready form of a value built from this package's types.
-
-    A dataclass becomes ``{field: value}``, a parameter vector becomes
-    ``{"f64le": base64 of its little-endian float64 bytes}``, a tuple
-    becomes a list, and mappings keep their keys. Config echoes and reports
-    serialize through here, :func:`json_writer` writes the same document
-    as text, and :func:`from_json` is the inverse, so the dataclasses are
-    the one schema.
-    """
-    if type(value) in _SCALARS:
-        return value
+def json_default(value):
+    """``json``'s ``default``, one level deep: a parameter vector becomes
+    ``{"f64le": base64 of its little-endian float64 bytes}`` and a dataclass
+    ``{field: value}``; ``json`` does the rest of the recursion."""
     if isinstance(value, ParameterVector):
         return {VECTOR_KEY: b2a_base64(value.values.tobytes(), newline=False).decode()}
     if dataclasses.is_dataclass(value):
-        return {name: to_json(getattr(value, name)) for name in _schema(type(value))}
-    if isinstance(value, dict):
-        return {key: to_json(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_json(item) for item in value]
-    return value
+        return {name: getattr(value, name) for name in _schema(type(value))}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def to_json(value):
+    """The JSON document of a value: what ``json`` writes of it with
+    :func:`json_default`, read back. :func:`from_json` is the inverse, so
+    the dataclasses are the one schema of reports, configs and frames."""
+    return json.loads(json.dumps(value, default=json_default))
 
 
 # Names of field annotations and of JSON value types, for messages.
@@ -369,15 +360,16 @@ def from_json(cls, obj, fail, where: str = "", *, wire: bool = False, **given):
 _SCALAR_TEXT = {str: encode_basestring_ascii, int: repr, float: repr,
                 bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
 _NON_FINITE = frozenset(("inf", "-inf", "nan"))
-_json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, default=to_json).encode
+_json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, default=json_default).encode
 
 
 @functools.cache
 def json_writer(cls, omit: tuple = ()):
     """The writer of dataclass ``cls``, built once from its schema: value ->
-    ``json.dumps(to_json(value), sort_keys=True, separators=(",", ":"),
-    allow_nan=False)`` less the fields ``omit``, with no dict built between.
-    A non-finite number raises ``ValueError``, as in json.dumps."""
+    ``json.dumps(value, default=json_default, sort_keys=True,
+    separators=(",", ":"), allow_nan=False)`` less the fields ``omit``, with
+    no dict built between. A non-finite number raises ``ValueError``, as in
+    json.dumps."""
     fields = [(encode_basestring_ascii(name) + ":", name,
                json_writer(arg) if shape is _OBJECT else _json_text)
               for name, (_, shape, arg, _) in sorted(_schema(cls).items()) if name not in omit]

@@ -262,6 +262,7 @@ class _Simulation:
 
     def _crash_server(self, downtime: float) -> None:
         self.coordinator = None
+        self.server_back = self.loop.now + downtime
         for client in self.clients:
             self.loop.push(0.0, client.on_server_down)
         if math.isfinite(downtime):
@@ -320,7 +321,9 @@ def simulate(scenario: SimScenario) -> SimulationReport:
     coord = sim.coordinator
     stalled = f"no progress after {sim.loop.now:.0f} virtual seconds: "
     if coord is None:
-        status, reason = "hung", stalled + "the server went down and never came back"
+        status, reason = "hung", stalled + (
+            "the server went down and never came back" if math.isinf(sim.server_back)
+            else f"the server is down until {sim.server_back:.0f} virtual seconds")
     elif coord.status is not None:
         status, reason = coord.status, coord.abort_reason
     elif coord.state is not None:

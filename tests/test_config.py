@@ -363,6 +363,14 @@ class TestConfigEcho:
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
 
+    # A changed hash makes every existing checkpoint refuse --resume.
+    @pytest.mark.parametrize("doc, expected", [
+        (minimal_config(), "14ce00d1e0f27657bc411b771235cbd2316c2bd2ab2fb3734615630ae74b4ac0"),
+        (readme_example(), "a4ad0d3e6981b5c9e96c5db84aff831d6f0766f50a1b3c9080526349536130eb"),
+    ], ids=["minimal", "readme"])
+    def test_config_hash_is_pinned(self, doc, expected):
+        assert config_hash(parse(doc).federation) == expected
+
 
 class TestLoadConfig:
     def test_round_trip_from_file(self, tmp_path):

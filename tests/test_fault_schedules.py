@@ -366,3 +366,13 @@ def test_hung_diagnosis_digests(tmp_path, name):
     assert report.diagnosis == HUNG_DIAGNOSES[name]
     assert len(report.round_globals) == HUNG_ROUNDS[name]
     assert simulation_digest(scenario) == HUNG_DIGESTS[name], name
+
+
+def test_finite_outage_past_the_hung_threshold_names_its_end(tmp_path):
+    """A server down longer than the hung threshold does come back: the
+    diagnosis says when, not that it never will."""
+    faults = (FaultEvent(at_round=1, target="server", kind="crash", downtime_seconds=2e5),)
+    report = simulate(hung_scenario(tmp_path, "long_outage", faults))
+    assert report.status == "hung"
+    assert report.diagnosis == ("no progress after 100046 virtual seconds: "
+                                "the server is down until 200025 virtual seconds")

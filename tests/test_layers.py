@@ -2,9 +2,12 @@
 
 Every import sits at module level, relative imports form no cycle, and the
 library layers (values, schema, codec, checkpoint file, reports) reach
-neither the network nor the runtimes built on them.
+neither the network nor the runtimes built on them. Nothing is left over:
+every private name the package defines is used somewhere in it, and every
+name a module imports is used in that module.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,42 @@ def test_library_layer_reaches_no_network_or_runtime(name):
     absolute, relative = imports(MODULES[name])
     assert absolute & NETWORK == set()
     assert relative & RUNTIMES == set()
+
+
+SOURCE = "\n".join(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+
+
+def uses(name: str, text: str) -> int:
+    return len(re.findall(rf"\b{re.escape(name)}\b", text))
+
+
+def private_definitions(tree) -> list:
+    """Single-underscore names a module defines: module-level functions,
+    classes and assignments, and methods."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_is_used():
+    unused = [f"{module}.{name}" for module, tree in MODULES.items()
+              for name in private_definitions(tree) if uses(name, SOURCE) < 2]
+    assert unused == []
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"__init__"}))
+def test_every_import_is_used(name):
+    """The package's ``__init__`` is left out: its imports are its exports."""
+    text = (PACKAGE / f"{name}.py").read_text()
+    imported = [(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(MODULES[name]) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert [alias for alias in imported if uses(alias, text) < 2] == []

@@ -1,4 +1,6 @@
+import base64
 import csv
+import dataclasses
 import json
 import math
 
@@ -8,15 +10,18 @@ from fedkit import (
     AlgorithmConfig,
     ClientRoundStat,
     EvalScore,
+    FaultEvent,
     FederationConfig,
     HeterogeneityConfig,
     ParameterVector,
     ReportError,
     RoundRecord,
+    SimScenario,
     SiteSpec,
     TrainerConfig,
     compare_global_local,
     export_csv,
+    simulate,
     summarize,
 )
 from fedkit.metrics import (
@@ -25,6 +30,7 @@ from fedkit.metrics import (
     Totals,
     render_loss_table,
     render_summary,
+    save_report,
     score_table_mean,
 )
 from fedkit.params import from_json, to_json
@@ -223,7 +229,83 @@ class TestCsvExport:
         assert submitted == {"a": "true", "b": "false"}
 
 
+def document_of(value):
+    """The JSON document of a report by an explicit recursive walk: the
+    reference the package's encoder is checked against."""
+    if isinstance(value, ParameterVector):
+        return {"f64le": base64.b64encode(value.values.tobytes()).decode()}
+    if dataclasses.is_dataclass(value):
+        return {f.name: document_of(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: document_of(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [document_of(item) for item in value]
+    return value
+
+
+def simulated_report(directory, faults, algorithm=AlgorithmConfig(), local_baseline=False,
+                     **federation):
+    """The report of a 3-site, 3-round simulated run."""
+    cfg = FederationConfig(
+        sites=tuple(SiteSpec(s) for s in ("a", "b", "c")),
+        rounds=3,
+        algorithm=algorithm,
+        trainer=TrainerConfig(seed=1),
+        heterogeneity=HeterogeneityConfig(base_optimum=(1.0, -2.0), samples_per_site=8),
+        checkpoint_path=str(directory / "ckpt.json"),
+        **federation,
+    )
+    scenario = SimScenario(federation=cfg, faults=faults, local_baseline=local_baseline)
+    return simulate(scenario).experiment
+
+
+def lost_personal_model(directory):
+    """Ditto with the local baseline; site c crashes for good, so its
+    personal model is null and it drops out under continue_without."""
+    report = simulated_report(directory, (FaultEvent(1, "c", "crash", math.inf),),
+                              AlgorithmConfig(kind="ditto", ditto_lambda=0.5), True,
+                              on_client_loss="continue_without", min_clients_per_round=2)
+    assert report.local_cross is not None and report.personal_models["c"] is None
+    return report
+
+
+def hung_run(directory):
+    """The server never comes back from a crash in round 0: no rounds."""
+    report = simulated_report(directory, (FaultEvent(0, "server", "crash", math.inf),))
+    assert report.status == "hung" and report.rounds == ()
+    assert report.global_mean is None and report.final_global is None
+    return report
+
+
+def dropped_site(directory):
+    """Fedavg under continue_without; site c is dropped from round 1 on."""
+    report = simulated_report(directory, (FaultEvent(1, "c", "disconnect", math.inf),),
+                              on_client_loss="continue_without", min_clients_per_round=2)
+    assert not report.rounds[-1].per_client["c"].submitted
+    return report
+
+
+def tcp_like(directory):
+    """A report whose simulator fields are all null."""
+    report = make_report()
+    assert report.diagnosis is report.reconnects is report.virtual_seconds is None
+    assert report.local_cross is report.personal_models is None
+    return report
+
+
+REPORT_CASES = {f.__name__: f for f in (lost_personal_model, hung_run, dropped_site, tcp_like)}
+
+
 class TestReportSerialization:
+    @pytest.mark.parametrize("case", sorted(REPORT_CASES))
+    def test_saved_bytes_and_to_json_match_the_reference_walk(self, tmp_path, case):
+        report = REPORT_CASES[case](tmp_path)
+        path = tmp_path / "report.json"
+        save_report(report, str(path))
+        expected = json.dumps(document_of(report), sort_keys=True, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode()
+        assert to_json(report) == document_of(report)
+
     def test_dict_round_trip(self):
         report = make_report()
         doc = to_json(report)
