@@ -1,9 +1,9 @@
 """The three algorithm variants of the round protocol.
 
 Server side there is exactly one operation, weighted averaging of client
-parameters. The proximal gradient (client objective regularized toward the
-broadcast global model) and the personalization step (a per-client model
-regularized toward the global track) live on the client gradient path; the
+parameters. Client side there is one, the proximal gradient g + mu*(w -
+w_global) of a local objective regularized toward the global model: fedprox
+steps with mu = prox_mu, and ditto's personal track with mu = lambda. The
 server path is identical for all three algorithms.
 """
 
@@ -84,12 +84,6 @@ def _prox_grad_values(local_grad: np.ndarray, w: np.ndarray, w_global: np.ndarra
     return local_grad + mu * (w - w_global)
 
 
-def _ditto_step_values(v: np.ndarray, grad_at_v: np.ndarray, w_global: np.ndarray, lam: float, lr: float) -> np.ndarray:
-    if lam == 0.0:
-        return v - lr * grad_at_v
-    return v - lr * (grad_at_v + lam * (v - w_global))
-
-
 def proximal_loss_gradient(
     local_grad: ParameterVector, w: ParameterVector, w_global: ParameterVector, mu: float
 ) -> ParameterVector:
@@ -116,7 +110,8 @@ def ditto_personal_step(
     lam: float,
     lr: float,
 ) -> ParameterVector:
-    """One personalization step: v - lr*(grad(v) + lam*(v - w_global)).
+    """One personalization step: v - lr*(grad(v) + lam*(v - w_global)), the
+    proximal step of :func:`proximal_loss_gradient` with mu = lam.
 
     lam = 0 is exactly a plain local gradient step, i.e. personalization
     degenerates to training a separate local model.
@@ -129,4 +124,5 @@ def ditto_personal_step(
         raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
     if not math.isfinite(lr) or lr <= 0:
         raise ConfigError(f"lr must be finite and > 0, got {lr}")
-    return ParameterVector(_ditto_step_values(v.values, local_grad_at_v.values, w_global.values, lam, lr))
+    step = _prox_grad_values(local_grad_at_v.values, v.values, w_global.values, lam)
+    return ParameterVector(v.values - lr * step)

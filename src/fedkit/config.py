@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 from .aggregation import AlgorithmConfig
 from .errors import ConfigError
 from .params import from_json, json_writer
-from .training import HeterogeneityConfig, TrainerConfig
+from .training import HeterogeneityConfig, TrainerConfig, param_dim
 
 LOSS_POLICIES = ("wait", "continue_without")
 
@@ -102,6 +102,10 @@ class FederationConfig:
         if self.round_timeout_seconds is not None and not math.isfinite(self.round_timeout_seconds):
             # A NaN timeout never fires; an infinite one is what null means.
             raise ConfigError(f"round_timeout_seconds must be finite, got {self.round_timeout_seconds}")
+        try:
+            param_dim(self.trainer, self.heterogeneity)
+        except ConfigError as exc:  # a check that names its field first, for the parser
+            raise ConfigError(f"heterogeneity {exc}") from exc
 
     @property
     def site_names(self) -> list:

@@ -18,7 +18,8 @@ bit-identical to the encoded one. A decoder takes exactly that one key,
 strict base64 (no whitespace or other characters), a nonzero multiple of 8
 bytes and finite values. Frames over 256 MiB are rejected on both sides,
 which bounds memory against malformed length prefixes; a server caps a
-connection at 4 KiB until it joins, and then at the largest update the
+connection at 4 KiB, or at the longest site name's join_request
+(:func:`max_join_payload`), until it joins, then at the largest update the
 model's dimension allows (:func:`max_update_payload`).
 
 The experiment's algorithm travels once per connection, in the
@@ -165,6 +166,11 @@ def max_update_payload(dim: int, client_ids: Iterable[str], rounds: int) -> int:
                          train_seconds=sys.float_info.max)
     frame = encode(Message("update_submission", rounds - 1, client_id, update))
     return len(frame) - _LENGTH_BYTES - _base64_length(1) + _base64_length(dim)
+
+
+def max_join_payload(client_ids: Iterable[str]) -> int:
+    """The largest join_request payload :func:`encode` writes for one of ``client_ids``."""
+    return max(len(encode(Message("join_request", 0, name))) for name in client_ids) - _LENGTH_BYTES
 
 
 def _decode_payload(payload: bytes) -> Message:

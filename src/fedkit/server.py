@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 from .aggregation import federated_average
 from .checkpoint import resume_from_checkpoint, save_checkpoint
 from .config import FederationConfig, config_hash
-from .errors import CheckpointError, ConfigError, ExperimentAborted, ProtocolError, StartupError
+from .errors import CheckpointError, ExperimentAborted, ProtocolError, StartupError
 from .metrics import ClientRoundStat, ExperimentReport, RoundRecord, summarize
 from .params import ModelUpdate, ParameterVector
 from .protocol import (
@@ -38,6 +38,7 @@ from .protocol import (
     Message,
     TaskAssignment,
     encode,
+    max_join_payload,
     max_update_payload,
 )
 from .training import evaluate, generate_site_data, initial_global, metric_for, param_dim
@@ -80,7 +81,8 @@ class FederationCoordinator:
     the loss policy and ends the run: runtimes read ``status`` (None until
     completed or aborted) and ``abort_reason``. ``aggregation_cost`` fixes
     the reported aggregation time (virtual-time runtimes); when None the
-    coordinator measures its own aggregation wall time.
+    coordinator measures its own aggregation wall time. A ``start_global`` of
+    the wrong dimension or a ``start_round`` past the last raises CheckpointError.
     """
 
     def __init__(
@@ -91,18 +93,19 @@ class FederationCoordinator:
         start_global: Optional[ParameterVector] = None,
         aggregation_cost: Optional[float] = None,
     ):
+        fresh = initial_global(cfg.trainer, cfg.heterogeneity)
+        self._global = fresh if start_global is None else start_global
+        if self._global.dim != fresh.dim:
+            raise CheckpointError(f"checkpoint {cfg.checkpoint_path} holds a dim-{self._global.dim} "
+                                  f"global; the config's model has dim {fresh.dim}")
         if start_round >= cfg.rounds:
-            raise ConfigError(
-                f"start round {start_round} is past the last round {cfg.rounds - 1}"
-            )
+            raise CheckpointError(f"checkpoint {cfg.checkpoint_path} holds the last round "
+                                  f"{start_round - 1}; nothing is left to resume")
         self.cfg = cfg
         self._site_order = cfg.site_names
         self._known = set(self._site_order)
         self._expected = set(cfg.expected_sites)
         self._round = start_round
-        self._global = start_global if start_global is not None else initial_global(
-            cfg.trainer, cfg.heterogeneity
-        )
         self._agg_cost = aggregation_cost
         self._connected: set = set()
         self._state: Optional[RoundState] = None  # set while a round collects
@@ -360,7 +363,8 @@ def build_experiment_report(
 POLL_SECONDS = 0.2  # longest the loop sleeps before it looks at stop() again
 STARTUP_TIMEOUT_SECONDS = 30.0  # how long run() waits for the first join
 SEND_TIMEOUT_SECONDS = 0.5  # bounds a send to a peer that stopped reading
-# The largest payload a connection may announce before it has joined; a
+# The largest payload a connection may announce before it has joined, unless
+# the join_request of the config's longest site name is larger; a typical
 # join_request frame is about 70 B, so anything past this is not a client.
 PREJOIN_FRAME_BYTES = 4096
 
@@ -368,9 +372,9 @@ PREJOIN_FRAME_BYTES = 4096
 class _Connection:
     """One client socket and the decoder of its byte stream."""
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, cap: int):
         self.sock = sock
-        self.decoder = FrameDecoder(PREJOIN_FRAME_BYTES)
+        self.decoder = FrameDecoder(cap)
         self.site: Optional[str] = None
 
 
@@ -389,13 +393,14 @@ class FederationServer:
     and executes the returned commands. A connection costs a socket and a
     frame decoder, no thread. A connection's decoder refuses a length
     prefix past its cap before buffering any of the payload: until the join
-    the cap is ``PREJOIN_FRAME_BYTES``, after it the largest update frame
+    the cap is the larger of ``PREJOIN_FRAME_BYTES`` and the join_request
+    of the config's longest site name, after it the largest update frame
     the config's dimension, site names and round count allow. ``stop()``
     abandons the run from any thread (for restart tests and operator
     interrupts) and takes effect within one poll. A later server built
-    with ``resume=True`` reads the checkpoint before it binds the port, so
-    a CheckpointError, also for a checkpoint of the last round, leaves the
-    port free.
+    with ``resume=True`` reads the checkpoint and builds its coordinator
+    before it binds the port, so a CheckpointError, also the coordinator's
+    for a start point that does not fit, leaves the port free.
     """
 
     def __init__(
@@ -408,23 +413,14 @@ class FederationServer:
         self.cfg = cfg
         self._cfg_hash = config_hash(cfg)
         dim = param_dim(cfg.trainer, cfg.heterogeneity)
-        # After a join the only frame a peer may send is an update.
+        # Before a join a peer may send only a join_request, after it an update.
+        self._join_cap = max(PREJOIN_FRAME_BYTES, max_join_payload(cfg.site_names))
         self._update_cap = min(max_update_payload(dim, cfg.site_names, cfg.rounds), MAX_FRAME_BYTES)
         start_round, start_global = 0, None
         if resume:
             start_global, start_round = resume_from_checkpoint(
                 cfg.checkpoint_path, self._cfg_hash
             )
-            if start_global.dim != dim:
-                raise CheckpointError(
-                    f"checkpoint {cfg.checkpoint_path} holds a dim-{start_global.dim} "
-                    f"global; the config's model has dim {dim}"
-                )
-            if start_round >= cfg.rounds:
-                raise CheckpointError(
-                    f"checkpoint {cfg.checkpoint_path} holds the last round {start_round - 1}; "
-                    "nothing is left to resume"
-                )
             logger.info("resuming from checkpoint at round %d", start_round)
         self._coordinator = FederationCoordinator(
             cfg, start_round=start_round, start_global=start_global
@@ -504,7 +500,7 @@ class FederationServer:
         except OSError:
             return
         sock.settimeout(SEND_TIMEOUT_SECONDS)
-        self._selector.register(sock, selectors.EVENT_READ, _Connection(sock))
+        self._selector.register(sock, selectors.EVENT_READ, _Connection(sock, self._join_cap))
 
     def _read(self, conn: _Connection) -> None:
         """Feed one read into the connection's decoder; on end of stream or a

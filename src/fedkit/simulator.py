@@ -40,9 +40,10 @@ from .server import (
     SaveCheckpoint,
     StartTimer,
     build_experiment_report,
+    evaluate_sites,
     validation_data,
 )
-from .training import evaluate, initial_global, metric_for, train_local_only
+from .training import initial_global, train_local_only
 
 DEFAULT_NO_PROGRESS_SECONDS = 1e5
 
@@ -364,12 +365,8 @@ def simulate(scenario: SimScenario) -> SimulationReport:
 def _local_baseline(cfg: FederationConfig, train_data: list, val_data: list) -> dict:
     """Each site trained alone for the same round budget, scored everywhere.
     ``train_data`` and ``val_data`` hold the sites' draws in config order."""
-    metric = metric_for(cfg.trainer)
     start = initial_global(cfg.trainer, cfg.heterogeneity)
-    table: dict = {}
-    for spec, data in zip(cfg.sites, train_data):
-        local_model = train_local_only(start, data, cfg.trainer, cfg.rounds)
-        table[spec.name] = {
-            site.name: evaluate(local_model, val, metric) for site, val in zip(cfg.sites, val_data)
-        }
-    return table
+    return {
+        spec.name: evaluate_sites(cfg, train_local_only(start, data, cfg.trainer, cfg.rounds), val_data)
+        for spec, data in zip(cfg.sites, train_data)
+    }

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .aggregation import AlgorithmConfig, _ditto_step_values, _prox_grad_values
+from .aggregation import AlgorithmConfig, _prox_grad_values
 from .errors import ConfigError, DimensionError, DomainError, NumericError
 from .params import EvalScore, ModelUpdate, ParameterVector, all_finite
 
@@ -280,6 +280,21 @@ def local_gradient(w: ParameterVector, data: ClientDataset, tcfg: TrainerConfig)
     return ParameterVector(_grad_values(w.values, data, tcfg))
 
 
+def _prox_steps(start: ParameterVector, data: ClientDataset, tcfg: TrainerConfig,
+                w_global: ParameterVector, mu: float, track: str) -> ParameterVector:
+    """``local_steps`` steps w - lr*(grad F(w) + mu*(w - w_global)) from ``start``."""
+    _check_dims(start, data, tcfg)
+    if w_global.dim != start.dim:
+        raise DimensionError(f"w_global dim {w_global.dim} does not match start dim {start.dim}")
+    w, wg = start.values, w_global.values  # each step builds a new array
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(tcfg.local_steps):
+            w = w - tcfg.lr * _prox_grad_values(_grad_values(w, data, tcfg), w, wg, mu)
+            if not all_finite(w):
+                raise NumericError(f"{track} diverged: non-finite parameters at step {step}")
+    return ParameterVector(w)
+
+
 def local_train(
     start: ParameterVector,
     data: ClientDataset,
@@ -292,30 +307,13 @@ def local_train(
 ) -> ModelUpdate:
     """Run ``local_steps`` full-batch gradient steps from ``start``.
 
-    The gradient routes through the proximal adjustment when the algorithm
-    is fedprox; fedavg and the ditto global track take the plain gradient.
+    Under fedprox each step is the proximal step with mu = ``prox_mu``;
+    fedavg and the ditto global track take the plain gradient (mu = 0).
     ``train_seconds`` is left at 0.0; timing is the runtime's concern.
     """
-    _check_dims(start, data, tcfg)
-    if w_global.dim != start.dim:
-        raise DimensionError(f"w_global dim {w_global.dim} does not match start dim {start.dim}")
-    w = start.values.copy()
-    wg = w_global.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(tcfg.local_steps):
-            g = _grad_values(w, data, tcfg)
-            if acfg.kind == "fedprox":
-                g = _prox_grad_values(g, w, wg, acfg.prox_mu)
-            w = w - tcfg.lr * g
-            if not all_finite(w):
-                raise NumericError(f"training diverged: non-finite parameters at step {step}")
-    return ModelUpdate(
-        client_id=client_id,
-        round=round_index,
-        params=ParameterVector(w),
-        sample_count=data.n_samples,
-        train_seconds=0.0,
-    )
+    mu = acfg.prox_mu if acfg.kind == "fedprox" else 0.0
+    params = _prox_steps(start, data, tcfg, w_global, mu, "training")
+    return ModelUpdate(client_id, round_index, params, data.n_samples, train_seconds=0.0)
 
 
 def ditto_personal_round(
@@ -325,21 +323,13 @@ def ditto_personal_round(
     w_global: ParameterVector,
     lam: float,
 ) -> ParameterVector:
-    """One round of the personal track: ``local_steps`` regularized steps on v.
+    """One round of the personal track: ``local_steps`` fedprox steps on v
+    with mu = lam, toward a ``w_global`` that must have v's dimension.
 
     With lam = 0 this is bit-identical to ``local_train``'s plain steps, so
     the personal track reduces exactly to separate local training.
     """
-    _check_dims(v, data, tcfg)
-    out = v.values.copy()
-    wg = w_global.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(tcfg.local_steps):
-            g = _grad_values(out, data, tcfg)
-            out = _ditto_step_values(out, g, wg, lam, tcfg.lr)
-            if not all_finite(out):
-                raise NumericError(f"personal track diverged: non-finite parameters at step {step}")
-    return ParameterVector(out)
+    return _prox_steps(v, data, tcfg, w_global, lam, "personal track")
 
 
 def train_local_only(

@@ -267,6 +267,8 @@ INVALID_VALUES = {
     "aggregation_cost": ({"simulator": {"aggregation_cost_seconds": -1.0}},
                          "aggregation_cost_seconds"),
     "weighting": ({"algorithm": {"weighting": "bogus"}}, "weighting"),
+    "trainer_dim": ({"trainer": {"trainer": "synthetic_segmentation"},
+                     **heterogeneity(base_optimum=[1.0, 2.0, 3.0])}, "heterogeneity"),
     # Finite factors whose virtual clock would overflow.
     "clock_multiplier": ({"simulator": {"site_multipliers": {"a": 1e300},
                                         "base_round_cost_seconds": 1e10}}, "site_multipliers"),

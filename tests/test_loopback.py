@@ -3,6 +3,7 @@
 Servers and clients run in daemon threads; every experiment here is tiny
 (desk-scale trainers, a handful of rounds) so the suite stays fast.
 """
+import dataclasses
 import json
 import select
 import socket
@@ -35,7 +36,7 @@ from fedkit import (
     run_client,
 )
 from fedkit.client import parse_address
-from fedkit.protocol import FrameDecoder, JoinAck, TaskAssignment, max_update_payload
+from fedkit.protocol import FrameDecoder, JoinAck, TaskAssignment, max_join_payload, max_update_payload
 from fedkit.server import config_hash, save_checkpoint
 from fedkit.training import initial_global
 
@@ -291,6 +292,25 @@ class TestRawConnections:
             raw.sendall((5000).to_bytes(4, "big"))
             assert_closed_by_server(raw)
         self.complete_experiment(cfg, server, thread, holder)
+
+    def test_site_whose_join_passes_the_prejoin_cap_completes_a_round(self, tmp_path):
+        # The cap before a join fits the config's longest site name.
+        sites = ("x" * 5000, "basel")
+        assert max_join_payload(sites) == len(encode(Message("join_request", 0, sites[0]))) - 4
+        assert max_join_payload(sites) > fedkit.server.PREJOIN_FRAME_BYTES
+        cfg = dataclasses.replace(make_cfg(tmp_path, rounds=1),
+                                  sites=tuple(SiteSpec(s) for s in sites))
+        server = FederationServer(cfg, ("127.0.0.1", 0))
+        holder = {}
+        thread = threading.Thread(target=lambda: holder.update(report=server.run()), daemon=True)
+        thread.start()
+        threads = start_clients(cfg, server.address, sites)
+        thread.join(20.0)
+        if thread.is_alive():
+            server.stop()
+            pytest.fail("the round did not complete within 20 s")
+        assert finish(threads) == [0, 0]
+        assert len(holder["report"].rounds) == 1
 
     def test_join_request_sent_one_byte_at_a_time_joins(self, tmp_path):
         cfg, server, thread, holder = self.start_server(tmp_path)

@@ -442,6 +442,22 @@ class TestCoordinator:
         assert all(t.round == 3 for t in tasks)
         assert all(np.array_equal(t.body.params.values, [7.0, 7.0]) for t in tasks)
 
+    # The coordinator refuses a start point that does not fit its config,
+    # with the texts `fedkit server --resume` prints, in both runtimes.
+    def test_start_round_past_the_last_round_is_refused(self, tmp_path):
+        cfg = make_cfg(tmp_path, rounds=2)
+        with pytest.raises(CheckpointError) as info:
+            FederationCoordinator(cfg, start_round=cfg.rounds, start_global=ParameterVector([7.0, 7.0]))
+        assert str(info.value) == (f"checkpoint {cfg.checkpoint_path} holds the last round 1; "
+                                   "nothing is left to resume")
+
+    def test_start_global_of_another_dim_is_refused(self, tmp_path):
+        cfg = make_cfg(tmp_path, rounds=2)
+        with pytest.raises(CheckpointError) as info:
+            FederationCoordinator(cfg, start_round=1, start_global=ParameterVector([7.0, 7.0, 7.0]))
+        assert str(info.value) == (f"checkpoint {cfg.checkpoint_path} holds a dim-3 global; "
+                                   "the config's model has dim 2")
+
 
 class TestEvaluateSites:
     def test_scores_every_site_deterministically(self, tmp_path):

@@ -16,6 +16,7 @@ from fedkit import (
     ParameterVector,
     TrainerConfig,
     dice_score,
+    ditto_personal_step,
     evaluate,
     federated_average,
     generate_site_data,
@@ -358,6 +359,109 @@ class TestDittoPersonalRound:
         for _ in range(10):
             v = ditto_personal_round(v, data, tcfg, ParameterVector([9.0, 9.0]), 0.0)
         assert v == train_local_only(start, data, tcfg, rounds=10)
+
+
+# The loops local_train and ditto_personal_round ran before they shared one
+# proximal step loop, with the kernels they called, kept as the reference.
+def reference_prox_grad_values(local_grad, w, w_global, mu):
+    if mu == 0.0:
+        return local_grad
+    return local_grad + mu * (w - w_global)
+
+
+def reference_ditto_step_values(v, grad_at_v, w_global, lam, lr):
+    if lam == 0.0:
+        return v - lr * grad_at_v
+    return v - lr * (grad_at_v + lam * (v - w_global))
+
+
+def reference_local_train(start, data, tcfg, acfg, w_global):
+    w = start.values.copy()
+    wg = w_global.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(tcfg.local_steps):
+            g = _grad_values(w, data, tcfg)
+            if acfg.kind == "fedprox":
+                g = reference_prox_grad_values(g, w, wg, acfg.prox_mu)
+            w = w - tcfg.lr * g
+            if not np.isfinite(w).all():
+                raise NumericError(f"training diverged: non-finite parameters at step {step}")
+    return w
+
+
+def reference_ditto_personal_round(v, data, tcfg, w_global, lam):
+    out = v.values.copy()
+    wg = w_global.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(tcfg.local_steps):
+            g = _grad_values(out, data, tcfg)
+            out = reference_ditto_step_values(out, g, wg, lam, tcfg.lr)
+            if not np.isfinite(out).all():
+                raise NumericError(f"personal track diverged: non-finite parameters at step {step}")
+    return out
+
+
+def outcome(run):
+    """The bytes of what ``run`` returns, or the NumericError it raises."""
+    try:
+        values = run()
+    except NumericError as exc:
+        return str(exc)
+    return (values if isinstance(values, np.ndarray) else values.values).tobytes()
+
+
+coefficients = st.one_of(st.just(0.0), st.floats(1e-6, 50.0))
+
+
+class TestOneProximalStepLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        trainer=st.sampled_from(["least_squares", "synthetic_segmentation"]),
+        dim=st.integers(1, 4),
+        steps=st.integers(1, 5),
+        lr=st.floats(1e-3, 3.0),
+        seed=st.integers(0, 2**32),
+        kind=st.sampled_from(["fedavg", "fedprox", "ditto"]),
+        mu=coefficients,
+        lam=coefficients,
+    )
+    def test_both_tracks_are_bit_equal_to_the_reference(self, trainer, dim, steps, lr, seed,
+                                                        kind, mu, lam):
+        if trainer == "synthetic_segmentation":
+            dim = PIXEL_FEATURES
+        rng = np.random.default_rng(seed)
+        h = HeterogeneityConfig(base_optimum=rng.normal(0.0, 3.0, dim).tolist(), shift_scale=0.3,
+                                noise_std=0.2, samples_per_site=6)
+        data = generate_site_data(h, 1, seed, task=trainer)
+        tcfg = TrainerConfig(trainer=trainer, lr=lr, local_steps=steps, seed=seed)
+        acfg = AlgorithmConfig(kind=kind, prox_mu=0.0 if kind == "fedavg" else mu,
+                               ditto_lambda=0.0 if kind == "fedavg" else lam)
+        start, wg = (ParameterVector(rng.normal(0.0, 2.0, dim)) for _ in range(2))
+        assert outcome(lambda: local_train(start, data, tcfg, acfg, wg).params) == \
+            outcome(lambda: reference_local_train(start, data, tcfg, acfg, wg))
+        assert outcome(lambda: ditto_personal_round(start, data, tcfg, wg, lam)) == \
+            outcome(lambda: reference_ditto_personal_round(start, data, tcfg, wg, lam))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        lam=coefficients,
+        lr=st.floats(1e-4, 10.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_ditto_personal_step_is_bit_equal_to_the_reference(self, dim, lam, lr, seed):
+        v, g, wg = np.random.default_rng(seed).normal(0.0, 5.0, (3, dim))
+        out = ditto_personal_step(ParameterVector(v), ParameterVector(g), ParameterVector(wg),
+                                  lam, lr)
+        assert out.values.tobytes() == reference_ditto_step_values(v, g, wg, lam, lr).tobytes()
+
+    @pytest.mark.parametrize("global_dim", [1, 3])
+    def test_personal_round_refuses_a_global_of_another_dim(self, global_dim):
+        h = HeterogeneityConfig(base_optimum=[1.0, -1.0], samples_per_site=5)
+        data = generate_site_data(h, 0, seed=2)
+        with pytest.raises(DimensionError, match=f"w_global dim {global_dim} does not match"):
+            ditto_personal_round(ParameterVector([0.5, 0.5]), data, TrainerConfig(),
+                                 ParameterVector.zeros(global_dim), 0.5)
 
 
 class TestEvaluate:
